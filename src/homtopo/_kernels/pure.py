@@ -92,33 +92,28 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
     return out
 
 
-def gf2_rank(cols, nbits: int = 0) -> int:
-    """Rank over GF(2) of the int-bitmask columns (nbits is advisory here)."""
+def _pivots(cols) -> dict[int, int]:
+    """Reduce the columns in turn; each survivor is keyed by its lowest bit."""
     pivots: dict[int, int] = {}
-    rank = 0
     for col in cols:
         while col:
             low = col & -col
             other = pivots.get(low)
             if other is None:
                 pivots[low] = col
-                rank += 1
                 break
             col ^= other
-    return rank
+    return pivots
+
+
+def gf2_rank(cols, nbits: int = 0) -> int:
+    """Rank over GF(2) of the int-bitmask columns (nbits is advisory here)."""
+    return len(_pivots(cols))
 
 
 def gf2_in_span(cols, target: int, nbits: int = 0) -> bool:
     """Is `target` an XOR combination of `cols`?"""
-    pivots: dict[int, int] = {}
-    for col in cols:
-        while col:
-            low = col & -col
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col
-                break
-            col ^= other
+    pivots = _pivots(cols)
     while target:
         low = target & -target
         other = pivots.get(low)

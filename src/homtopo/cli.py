@@ -80,9 +80,10 @@ def cmd_reduce_core(args) -> int:
     g = resolve_graph(args.graph)
     policy = None
     if args.policy != "smallest":
-        if not args.policy.startswith("random:"):
+        kind, _, seed = args.policy.partition(":")
+        if kind != "random" or not seed.lstrip("-").isdigit():
             raise DomainError("policy must be 'smallest' or 'random:SEED'")
-        policy = random_policy(int(args.policy.split(":", 1)[1]))
+        policy = random_policy(int(seed))
     core, trace = irreducible_core(g, policy)
     obj = {"graph": args.graph, "core": to_json_obj(core),
            "trace": trace.to_json_obj()}
@@ -144,8 +145,18 @@ def cmd_formulas(args) -> int:
     return 0
 
 
+def _parse_value(val: str):
+    """true/false and ints are decoded; anything else stays a string."""
+    if val.lower() in ("true", "false"):
+        return val.lower() == "true"
+    try:
+        return int(val)
+    except ValueError:
+        return val.strip("\"'")
+
+
 def _load_config(path: str) -> dict:
-    """key = value lines; ints and true/false are decoded, # starts a comment."""
+    """key = value lines decoded by _parse_value; # starts a comment."""
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -155,13 +166,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if val.lower() in ("true", "false"):
-                out[key] = val.lower() == "true"
-            else:
-                try:
-                    out[key] = int(val)
-                except ValueError:
-                    out[key] = val.strip("\"'")
+            out[key] = _parse_value(val)
     return out
 
 
@@ -171,12 +176,9 @@ def cmd_verify(args) -> int:
         if "=" not in item:
             raise DomainError(f"--set wants key=value, got {item!r}")
         key, val = item.split("=", 1)
-        if val.lower() in ("true", "false"):
-            overrides[key] = val.lower() == "true"
-        else:
-            overrides[key] = int(val)
+        overrides[key] = _parse_value(val)
     overrides["full"] = args.suite == "full"
-    report = run_checks(args.only or None, overrides, args.workers)
+    report = run_checks(args.only or None, overrides)
     if args.stable:
         for row in report["checks"]:
             row.pop("elapsed", None)
@@ -281,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key = value overrides for the suite budgets")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="single budget override; repeatable")
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(run=cmd_verify)
     return ap

@@ -21,7 +21,7 @@ from ._kernels import gf2_in_span
 from .errors import DomainError
 from .graphs import Graph, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import betti_gf2, face_poset
+from .topology import betti_gf2, face_poset, skeleton_labels
 
 
 @dataclass(frozen=True)
@@ -177,20 +177,8 @@ def sw_height(x, a: Involution, cap: int | None = None,
 
 def has_invariant_component(x, a: Involution) -> bool:
     """Is some connected component mapped to itself?  (Blocks maps to S^0.)"""
-    dims, facets = x.chain_data()
-    parent = list(range(len(dims)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, d in enumerate(dims):
-        if d == 1:
-            for j in facets[i]:
-                parent[find(j)] = find(i)
-    return any(dims[i] == 0 and find(i) == find(a.perm[i])
+    dims, labels = skeleton_labels(x)
+    return any(dims[i] == 0 and labels[i] == labels[a.perm[i]]
                for i in range(len(dims)))
 
 

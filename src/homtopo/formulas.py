@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .graphs import complete
 from .homcx import build_hom, face_relation
 from .topology import Poset
@@ -76,7 +76,8 @@ def f_wedge(m: int, n: int, method: str = "closed") -> int:
         return 0
     vals = {"recurrence": _f_rec(m, n), "closed": _f_closed(m, n),
             "stirling": _f_stirling(m, n)}
-    assert vals["recurrence"] == vals["closed"] == vals["stirling"], (m, n)
+    if not vals["recurrence"] == vals["closed"] == vals["stirling"]:
+        raise ConsistencyError(f"f({m},{n}) methods disagree: {vals}")
     return vals[method]
 
 
@@ -91,7 +92,9 @@ def chi_hom(m: int, n: int) -> int:
         chi = factorial(n)
     else:
         chi = m * chi_hom(m - 1, n - 1) - (m - 1) * chi_hom(m, n - 1)
-    assert chi == 1 + (-1) ** (m - n) * f_wedge(m, n)
+    if chi != 1 + (-1) ** (m - n) * f_wedge(m, n):
+        raise ConsistencyError(
+            f"chi({m},{n}) = {chi} != 1 + (-1)^(m-n) f({m},{n})")
     return chi
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, DomainError
 from .graphs import Graph, bits, common_neighbors, is_homomorphism
-from .topology import SimplicialComplex
+from .topology import SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
 
@@ -142,7 +142,11 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
         budget = CELL_BUDGET
     env = os.environ.get("HOMTOPO_BUDGET_CELLS")
     if env:
-        budget = min(budget, int(env))
+        try:
+            budget = min(budget, int(env))
+        except ValueError:
+            raise DomainError(
+                f"HOMTOPO_BUDGET_CELLS must be an integer, got {env!r}") from None
     keys = enumerate_hom_cells(g.adj, h.adj, budget)
     return HomComplex(g, h, keys)
 
@@ -280,39 +284,42 @@ def count_hom_components(g: Graph, h: Graph, budget: int = 10**8) -> int:
     """b_0 of Hom(g,h) without building cells.
 
     0-cells are the homomorphisms; two are joined by an edge of the complex
-    iff they differ at exactly one vertex of g (the doubled mask is then
-    automatically a 1-cell), so components come from hashing maps with one
-    coordinate wildcarded.
+    iff they differ at exactly one vertex x of g (the doubled mask is then
+    automatically a 1-cell), so components come from grouping maps, packed
+    one w-bit field per vertex, by their key with x's field cleared.
     """
     from .graphs import enumerate_homomorphisms
 
     homs = enumerate_homomorphisms(g, h, budget)
-    parent = list(range(len(homs)))
+    w = max(1, (h.n - 1).bit_length())
+    keys = []
+    for f in homs:
+        key = 0
+        for y in f:
+            key = key << w | y
+        keys.append(key)
+    field = (1 << w) - 1
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def pairs():
+        for x in range(g.n):
+            sh = (g.n - 1 - x) * w
+            clear = ~(field << sh)
+            if g.adj[x] >> x & 1:
+                # looped source vertex: the two values must also be H-adjacent
+                byval: dict[int, dict[int, int]] = {}
+                for i, key in enumerate(keys):
+                    byval.setdefault(key & clear, {})[key >> sh & field] = i
+                for vals in byval.values():
+                    items = sorted(vals.items())
+                    for a, i in items:
+                        for b, j in items:
+                            if a < b and h.adj[a] >> b & 1:
+                                yield i, j
+            else:
+                seen: dict[int, int] = {}
+                for i, key in enumerate(keys):
+                    j = seen.setdefault(key & clear, i)
+                    if j != i:
+                        yield i, j
 
-    for x in range(g.n):
-        if g.adj[x] >> x & 1:
-            # looped source vertex: the two values must also be H-adjacent
-            byval: dict[tuple, dict[int, int]] = {}
-            for i, f in enumerate(homs):
-                key = f[:x] + (-1,) + f[x + 1:]
-                byval.setdefault(key, {}).setdefault(f[x], i)
-            for vals in byval.values():
-                items = sorted(vals.items())
-                for a, i in items:
-                    for b, j in items:
-                        if a < b and h.adj[a] >> b & 1:
-                            parent[find(i)] = find(j)
-        else:
-            seen: dict[tuple, int] = {}
-            for i, f in enumerate(homs):
-                key = f[:x] + (-1,) + f[x + 1:]
-                j = seen.setdefault(key, i)
-                if j != i:
-                    parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(homs))})
+    return len(set(merge_classes(len(homs), pairs())))

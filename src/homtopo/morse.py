@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .graphs import Graph, bits, complete
 from .homcx import HomComplex, build_hom, neighborhood_complex
-from .topology import Poset, SimplicialComplex, betti_gf2, face_poset
+from .topology import Poset, betti_gf2, face_poset, order_complex
 
 
 @dataclass
@@ -188,21 +188,6 @@ def check_quillen_B_op(f: PosetMap):
     return check_quillen_B(g)
 
 
-def _chain_complex_of_subposet(p: Poset, mask: int) -> SimplicialComplex:
-    elems = list(bits(mask))
-    pos = {e: i for i, e in enumerate(elems)}
-    sims = []
-
-    def grow(chain_mask: int, avail: int):
-        sims.append(chain_mask)
-        for j in bits(avail):
-            grow(chain_mask | (1 << pos[j]), avail & p.above[j])
-
-    for e in elems:
-        grow(1 << pos[e], p.above[e] & mask)
-    return SimplicialComplex(len(elems), sims)
-
-
 def check_quillen_A_proxy(f: PosetMap) -> list[dict]:
     """Per-fiber report: unique maximum (certifies contractibility) or Betti."""
     fib = _fiber_masks(f)
@@ -215,7 +200,7 @@ def check_quillen_A_proxy(f: PosetMap) -> list[dict]:
         else:
             entry["unique_max"] = False
             entry["betti"] = () if not mask else \
-                betti_gf2(_chain_complex_of_subposet(f.source, mask)).betti
+                betti_gf2(order_complex(f.source, mask)).betti
         out.append(entry)
     return out
 

@@ -125,8 +125,11 @@ class Poset:
                 covers[j].append(i)
         return Poset([top - g for g in self.grades], covers, self.labels)
 
-    def chains(self) -> list[tuple[int, ...]]:
-        """All nonempty chains, each as an ascending index tuple."""
+    def chains(self, mask: int | None = None) -> list[tuple[int, ...]]:
+        """All nonempty chains inside `mask` (default: every element), each
+        as an ascending index tuple."""
+        if mask is None:
+            mask = (1 << len(self.grades)) - 1
         out = []
         above = self.above
 
@@ -137,8 +140,8 @@ class Poset:
                 grow(chain, avail & above[j])
                 chain.pop()
 
-        for i in range(len(self.grades)):
-            grow([i], above[i])
+        for i in bits(mask):
+            grow([i], above[i] & mask)
         return out
 
 
@@ -148,20 +151,19 @@ def face_poset(c) -> Poset:
     return Poset(dims, facets)
 
 
-def order_complex(p: Poset) -> SimplicialComplex:
-    """Simplicial complex of chains; vertex order is (grade, element id)."""
-    m = len(p)
-    perm = sorted(range(m), key=lambda i: (p.grades[i], i))
-    pos = [0] * m
-    for new, old in enumerate(perm):
-        pos[old] = new
+def order_complex(p: Poset, mask: int | None = None) -> SimplicialComplex:
+    """Simplicial complex of the chains inside `mask` (default: all of p);
+    vertex order is (grade, element id)."""
+    elems = sorted(range(len(p)) if mask is None else bits(mask),
+                   key=lambda i: (p.grades[i], i))
+    pos = {e: new for new, e in enumerate(elems)}
     sims = []
-    for chain in p.chains():
-        mask = 0
+    for chain in p.chains(mask):
+        s = 0
         for e in chain:
-            mask |= 1 << pos[e]
-        sims.append(mask)
-    return SimplicialComplex(m, sims)
+            s |= 1 << pos[e]
+        sims.append(s)
+    return SimplicialComplex(len(elems), sims)
 
 
 def f_vector(c) -> tuple[int, ...]:
@@ -178,10 +180,10 @@ def euler_characteristic(c) -> int:
     return sum((-1) ** d * n for d, n in enumerate(f_vector(c)))
 
 
-def connected_components(c) -> int:
-    """Union-find over the 1-skeleton; equals b_0 by CW connectivity."""
-    dims, facets = c.chain_data()
-    parent = list(range(len(dims)))
+def merge_classes(n: int, pairs) -> list[int]:
+    """Union-find over range(n): labels[i] names the class of i once every
+    (i, j) in `pairs` is merged; equal labels mean the same class."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -189,11 +191,23 @@ def connected_components(c) -> int:
             x = parent[x]
         return x
 
-    for i, d in enumerate(dims):
-        if d == 1:
-            for j in facets[i]:
-                parent[find(j)] = find(i)
-    return len({find(i) for i, d in enumerate(dims) if d == 0})
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]
+
+
+def skeleton_labels(c) -> tuple[list[int], list[int]]:
+    """(dims, labels): cells with equal labels lie in one component of the
+    1-skeleton of c."""
+    dims, facets = c.chain_data()
+    return dims, merge_classes(len(dims), ((i, j) for i, d in enumerate(dims)
+                                           if d == 1 for j in facets[i]))
+
+
+def connected_components(c) -> int:
+    """Components of the 1-skeleton; equals b_0 by CW connectivity."""
+    dims, labels = skeleton_labels(c)
+    return len({labels[i] for i, d in enumerate(dims) if d == 0})
 
 
 def betti_gf2(c) -> BettiProfile:
@@ -214,12 +228,14 @@ def betti_gf2(c) -> BettiProfile:
     for i, d in enumerate(dims):
         buckets[d].append(i)
 
-    ranks = [0] * (top + 2)
-    prev_cols: list[int] = []
     for k in range(1, top + 1):
         if f[k] * f[k - 1] > MATRIX_BIT_CAP:
             raise ResourceError(
                 f"boundary matrix {f[k - 1]}x{f[k]} exceeds {MATRIX_BIT_CAP} bits")
+
+    ranks = [0] * (top + 2)
+    prev_cols: list[int] = []
+    for k in range(1, top + 1):
         cols = []
         for i in buckets[k]:
             col = 0

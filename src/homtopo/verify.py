@@ -1,15 +1,14 @@
 """Named verification checks: each acceptance property runs as one check
 with an explicit expected/computed pair, assembled into an ordered report.
 
-Checks are independent and run in a thread pool; the report order is the
-canonical CHECK_NAMES order regardless of completion order, and all values
-are plain JSON types so identical runs emit identical bytes.
+Checks are independent and run one after another in the requested order;
+all values are plain JSON types so identical runs emit identical bytes.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 
@@ -29,7 +28,7 @@ from .morse import (check_quillen_A_proxy, check_quillen_B,
                     critical_drops_to_smaller, is_acyclic, kmn_matching,
                     neighborhood_poset_map, proxy_all_pass)
 from .topology import (betti_gf2, connected_components, f_vector, face_poset,
-                       find_poset_isomorphism)
+                       find_poset_isomorphism, merge_classes)
 
 DEFAULTS = {
     "full": False,
@@ -55,6 +54,9 @@ def _cfg(overrides: dict | None = None) -> dict:
     for k, v in overrides.items():
         if k not in cfg:
             raise DomainError(f"unknown budget key {k!r}")
+        if type(v) is not type(cfg[k]):
+            raise DomainError(f"budget key {k!r} wants "
+                              f"{type(cfg[k]).__name__}, got {v!r}")
         cfg[k] = v
     if not cfg["full"]:
         for k, v in FAST_OVERRIDES.items():
@@ -196,20 +198,8 @@ def _betti_within(g: Graph, h: Graph, cap: int):
 
 def _big_component_count(fo: Graph) -> int:
     """Connected components with at least two vertices."""
-    seen = 0
-    out = 0
-    for v in range(fo.n):
-        if seen >> v & 1:
-            continue
-        stack, comp = [v], 1 << v
-        while stack:
-            todo = fo.adj[stack.pop()] & ~comp
-            comp |= todo
-            stack.extend(w for w in range(fo.n) if todo >> w & 1)
-        seen |= comp
-        if comp.bit_count() >= 2:
-            out += 1
-    return out
+    sizes = Counter(merge_classes(fo.n, fo.edge_pairs()))
+    return sum(1 for size in sizes.values() if size >= 2)
 
 
 def check_fold_soundness(cfg: dict):
@@ -401,8 +391,7 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, overrides: dict | None = None,
-               workers: int = 4) -> dict:
+def run_checks(names=None, overrides: dict | None = None) -> dict:
     cfg = _cfg(overrides)
     todo = list(CHECKS) if names is None else list(names)
     for name in todo:
@@ -428,8 +417,7 @@ def run_checks(names=None, overrides: dict | None = None,
             row["notes"] = notes
         return row
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(run, todo))
+    rows = [run(name) for name in todo]
     ok = all(r["status"] == "pass" for r in rows)
     return {"suite": "full" if cfg["full"] else "fast",
             "checks": rows, "status": "pass" if ok else "fail"}

@@ -1,11 +1,14 @@
 """Command-line surface: documented invocations, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import homtopo
 from homtopo.cli import main, resolve_graph
 from homtopo.errors import DomainError
 from homtopo.graphs import complete, petersen
@@ -149,6 +152,39 @@ def test_verify_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     code, _ = run(capsys, "verify", "fast", "--config", str(bad))
+    assert code == 2
+
+
+def run_cli(*argv, **env):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(homtopo.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    out = subprocess.run([sys.executable, "-m", "homtopo.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    return out.returncode, out.stderr
+
+
+@pytest.mark.parametrize("argv,env", [
+    (("hom", "--source", "K2", "--target", "K3"),
+     {"HOMTOPO_BUDGET_CELLS": "abc"}),
+    (("verify", "fast", "--only", "exclusions", "--set", "seed=x"), {}),
+    (("reduce", "core", "--graph", "L5", "--policy", "random:x"), {}),
+])
+def test_bad_outside_input_exits_2(argv, env):
+    code, err = run_cli(*argv, **env)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_config_value_type_checked(capsys, tmp_path):
+    cfg = tmp_path / "budgets.cfg"
+    cfg.write_text("seed = x\n")
+    code, _ = run(capsys, "verify", "fast", "--only", "exclusions",
+                  "--config", str(cfg))
+    assert code == 2
+    code, _ = run(capsys, "verify", "fast", "--only", "exclusions",
+                  "--set", "seed=true")
     assert code == 2
 
 

@@ -6,7 +6,8 @@ from math import comb, factorial
 
 import pytest
 
-from homtopo.errors import DomainError
+from homtopo import formulas
+from homtopo.errors import ConsistencyError, DomainError
 from homtopo.formulas import (MN_MAX, MnFaceLabel, chi_hom, cycle_components,
                               f_table, f_wedge, mn_face_poset, mn_faces,
                               mn_symmetry, rho_cell, rho_isomorphism_check,
@@ -167,3 +168,30 @@ def test_f_table():
     for r in rows:
         assert r["f"] == f_wedge(r["m"], r["n"])
         assert r["chi"] == chi_hom(r["m"], r["n"])
+
+
+@pytest.fixture
+def fresh_chi():
+    chi_hom.cache_clear()
+    yield
+    chi_hom.cache_clear()
+
+
+def test_method_disagreement_raises(monkeypatch, fresh_chi):
+    closed = formulas._f_closed
+    monkeypatch.setattr(formulas, "_f_closed", lambda m, n: closed(m, n) + 1)
+    with pytest.raises(ConsistencyError):
+        f_wedge(3, 5)
+    with pytest.raises(ConsistencyError):
+        chi_hom(3, 5)
+
+
+def test_chi_identity_raises(monkeypatch, fresh_chi):
+    # all three f methods agree on a wrong value: only the chi identity sees it
+    for name in ("_f_rec", "_f_closed", "_f_stirling"):
+        real = getattr(formulas, name)
+        monkeypatch.setattr(formulas, name,
+                            lambda m, n, real=real: real(m, n) + 1)
+    assert f_wedge(3, 5) == 30
+    with pytest.raises(ConsistencyError):
+        chi_hom(3, 5)

@@ -5,6 +5,8 @@ import itertools
 import os
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from homtopo.errors import BudgetError, DomainError
 from homtopo.graphs import (Graph, bits, complete, cycle, disjoint_union,
@@ -204,3 +206,29 @@ def test_cell_label():
     x = build_hom(complete(2), complete(3))
     i = x.index()[x.key_of((0b001, 0b110))]
     assert x.cell_label(i) == "({0},{1,2})"
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    """Any graph on 1..max_n vertices; loops allowed."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs(5), small_graphs(4))
+def test_count_hom_components_property(g, h):
+    try:
+        x = build_hom(g, h, budget=5000)
+    except BudgetError:
+        reject()
+    assert count_hom_components(g, h) == connected_components(x)
+
+
+def test_budget_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("HOMTOPO_BUDGET_CELLS", "abc")
+    with pytest.raises(DomainError):
+        build_hom(complete(2), complete(3))

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homtopo import _kernels
 from homtopo._kernels import pure
@@ -64,6 +66,14 @@ def test_in_span():
     assert not pure.gf2_in_span(cols, 0b001)
     assert not pure.gf2_in_span([], 0b1)
     assert pure.gf2_in_span([], 0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 1023), max_size=12), st.integers(0, 1023))
+def test_in_span_iff_rank_unchanged(cols, t):
+    rank = _kernels.gf2_rank
+    assert _kernels.gf2_in_span(cols, t) == \
+        (rank(cols + [t], 10) == rank(cols, 10))
 
 
 def test_wide_keys_fall_back():

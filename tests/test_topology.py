@@ -2,7 +2,10 @@
 the poset-isomorphism search."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homtopo import topology
 from homtopo.errors import ConsistencyError, DomainError, ResourceError
 from homtopo.graphs import complete, cycle, disjoint_union, path
 from homtopo.homcx import build_hom
@@ -178,6 +181,25 @@ def test_chains_oracle():
     assert sorted(p.chains()) == sorted(brute_chains(p))
 
 
+@st.composite
+def posets(draw):
+    """Up to 7 elements in grades 0..3, each covering a random lower set."""
+    n = draw(st.integers(0, 7))
+    grades = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    covers = [[j for j in range(n) if grades[j] < grades[i]
+               and draw(st.booleans())] for i in range(n)]
+    return Poset(grades, covers)
+
+
+@settings(deadline=None, derandomize=True)
+@given(posets(), st.integers(0, 127))
+def test_chains_inside_mask(p, mask):
+    mask &= (1 << len(p)) - 1
+    want = [c for c in brute_chains(p) if all(mask >> e & 1 for e in c)]
+    assert sorted(p.chains(mask)) == sorted(want)
+    assert len(order_complex(p, mask)) == len(want)
+
+
 def test_face_poset_grading():
     x = build_hom(complete(2), complete(3))
     p = face_poset(x)
@@ -256,6 +278,21 @@ class BrokenSquare:
     # its boundary-of-boundary is the two endpoints, nonzero over GF(2)
     def chain_data(self):
         return [0, 0, 1, 1, 2], [[], [], [0, 1], [0, 1], [2]]
+
+
+def test_matrix_cap_checked_before_any_rank(monkeypatch):
+    x = build_hom(complete(2), complete(4))
+    f = f_vector(x)
+    # only the top boundary matrix is over the cap
+    assert f[0] * f[1] < f[1] * f[2]
+    monkeypatch.setattr(topology, "MATRIX_BIT_CAP", f[1] * f[2] - 1)
+
+    def no_rank(*args):
+        raise AssertionError("rank computed before the cap check")
+
+    monkeypatch.setattr(topology, "gf2_rank", no_rank)
+    with pytest.raises(ResourceError):
+        betti_gf2(x)
 
 
 def test_consistency_guards():

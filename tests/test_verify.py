@@ -66,7 +66,7 @@ def test_cfg_rejects_unknown():
 
 
 def test_run_checks_report_shape():
-    report = run_checks(names=["exclusions"], workers=1)
+    report = run_checks(names=["exclusions"])
     assert report["suite"] == "fast"
     assert report["status"] == "pass"
     (row,) = report["checks"]
@@ -78,7 +78,7 @@ def test_run_checks_report_shape():
 
 def test_run_checks_order_is_declaration_order():
     names = ["cayley-graph", "exclusions", "formula-tri-agreement"]
-    report = run_checks(names=names, workers=3)
+    report = run_checks(names=names)
     assert [r["name"] for r in report["checks"]] == names
 
 
@@ -92,7 +92,7 @@ def test_crashed_check_is_failed(monkeypatch):
         raise ValueError("synthetic crash")
 
     monkeypatch.setitem(CHECKS, "exclusions", boom)
-    report = run_checks(names=["exclusions"], workers=1)
+    report = run_checks(names=["exclusions"])
     assert report["status"] == "fail"
     (row,) = report["checks"]
     assert row["status"] == "fail"
@@ -107,7 +107,7 @@ def test_notes_surface_in_row():
     saved = dict(CHECKS)
     CHECKS["exclusions"] = chatty
     try:
-        report = run_checks(names=["exclusions"], workers=1)
+        report = run_checks(names=["exclusions"])
     finally:
         CHECKS.clear()
         CHECKS.update(saved)
