@@ -15,7 +15,18 @@ from homtopo.errors import BudgetError
 def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
     """All packed cells eta with eta(x) x eta(y) <= E(H) for each G-edge (x,y).
 
-    Raises BudgetError (with .found) as soon as more than `budget` cells exist.
+    Backtracks over the G-vertices, highest degree first, narrowing the
+    masks allowed at later vertices.  The last vertex is not a level of the
+    search: once the others are fixed, every nonempty subset of its allowed
+    mask is a cell (a looped last vertex keeps only subsets inside their
+    own common neighborhood), and the whole batch is emitted in one inner
+    loop.
+
+    Raises BudgetError (with .found) as soon as more than `budget` cells
+    exist.  A batch without a loop is checked once, before it is emitted:
+    if it would take the count past `budget`, the error reports
+    found = budget + 1, the count at which a cell-by-cell check stops.  A
+    looped batch is checked cell by cell.
     """
     n_g = len(adj_g)
     n_h = len(adj_h)
@@ -42,14 +53,38 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
         later.append([e for e in range(d + 1, n_g) if adj_g[x] >> order[e] & 1])
 
     out: list[int] = []
+    last = n_g - 1
     allowed = [full_h] * n_g
     saved: list[list[tuple[int, int]]] = [[] for _ in range(n_g)]
     sub = [0] * n_g
-    key = [0] * (n_g + 1)
+    key = [0] * n_g
     d = 0
     sub[0] = allowed[0]
     while True:
-        s = sub[d]
+        if d == last:
+            a = allowed[d]
+            base = key[d]
+            if looped[d]:
+                s = a
+                while s:
+                    if not s & ~cn(s):
+                        out.append(base | s << shift[d])
+                        if len(out) > budget:
+                            raise BudgetError(f"cell budget {budget} exceeded",
+                                              found=len(out))
+                    s = (s - 1) & a
+            else:
+                if len(out) + (1 << a.bit_count()) - 1 > budget:
+                    raise BudgetError(f"cell budget {budget} exceeded",
+                                      found=budget + 1)
+                a <<= shift[d]
+                s = a
+                while s:
+                    out.append(base | s)
+                    s = (s - 1) & a
+            s = 0
+        else:
+            s = sub[d]
         if s == 0:
             d -= 1
             if d < 0:
@@ -60,12 +95,6 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
             sub[d] = (sub[d] - 1) & allowed[d]
             continue
         if looped[d] and s & ~cn(s):
-            sub[d] = (s - 1) & allowed[d]
-            continue
-        if d + 1 == n_g:
-            out.append(key[d] | (s << shift[d]))
-            if len(out) > budget:
-                raise BudgetError(f"cell budget {budget} exceeded", found=len(out))
             sub[d] = (s - 1) & allowed[d]
             continue
         c = cn(s)

@@ -200,6 +200,8 @@ def coloring_bound(g: Graph, m: int = 2, budget: int | None = None) -> int:
 
 
 def equivariant_report(g: Graph, m: int = 2, budget: int | None = None) -> dict:
+    if m < 2:
+        raise DomainError("need m >= 2 for the swap action")
     x = build_hom(complete(m), g, budget)
     if not x.keys:
         raise DomainError(f"no homomorphisms from K_{m}; bound undefined")

@@ -48,7 +48,8 @@ class HomComplex:
         self.h = h
         self.n_g = g.n
         self.n_h = h.n
-        self.keys = sorted(keys, key=lambda k: (k.bit_count(), k))
+        # stable popcount sort of numerically sorted keys: (dimension, key)
+        self.keys = sorted(sorted(keys), key=int.bit_count)
         self._index: dict[int, int] | None = None
         self._chain = None
 
@@ -109,10 +110,31 @@ class HomComplex:
         return max((self.dim_of_key(k) for k in self.keys), default=0)
 
     def chain_data(self):
+        """(dims, facets): per cell its dimension and ascending facet indices.
+
+        A facet drops one bit from a field that keeps at least one; the bits
+        of a key are walked from high to low and `key ^ bit` is looked up in
+        the index.  A miss means the bit was alone in its field, since every
+        other drop leaves a face of a cell (the set is face-closed).  Dropping
+        a higher bit gives a smaller key, and inside one dimension index order
+        is key order, so each facet list comes out ascending.
+        """
         if self._chain is None:
-            idx = self.index()
-            dims = [self.dim_of_key(k) for k in self.keys]
-            facets = [sorted(idx[f] for f in self.facet_keys(k)) for k in self.keys]
+            get = self.index().get
+            n_g = self.n_g
+            dims = []
+            facets = []
+            for k in self.keys:
+                dims.append(k.bit_count() - n_g)
+                fs = []
+                rest = k
+                while rest:
+                    bit = 1 << (rest.bit_length() - 1)
+                    rest ^= bit
+                    i = get(k ^ bit)
+                    if i is not None:
+                        fs.append(i)
+                facets.append(fs)
             self._chain = (dims, facets)
         return self._chain
 
@@ -140,13 +162,19 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
         raise DomainError("source graph needs at least one vertex")
     if budget is None:
         budget = CELL_BUDGET
+    if budget < 0:
+        raise DomainError(f"cell budget must be >= 0, got {budget}")
     env = os.environ.get("HOMTOPO_BUDGET_CELLS")
     if env:
         try:
-            budget = min(budget, int(env))
+            env_budget = int(env)
         except ValueError:
             raise DomainError(
                 f"HOMTOPO_BUDGET_CELLS must be an integer, got {env!r}") from None
+        if env_budget < 0:
+            raise DomainError(
+                f"HOMTOPO_BUDGET_CELLS must be >= 0, got {env_budget}")
+        budget = min(budget, env_budget)
     keys = enumerate_hom_cells(g.adj, h.adj, budget)
     return HomComplex(g, h, keys)
 

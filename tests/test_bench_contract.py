@@ -12,6 +12,8 @@ import sys
 import pytest
 
 from homtopo import _kernels, topology
+from homtopo.graphs import complete
+from homtopo.homcx import build_hom
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -44,3 +46,15 @@ def test_rank_reached_through_topology():
     # the tracer counts rank columns by patching every module holding the
     # kernel function, so betti_gf2 must call it through this name
     assert topology.gf2_rank is _kernels.gf2_rank
+
+
+def test_chain_data_facets_counted_once(tracing):
+    # the tracer counts facets only when chain_data computes, which it
+    # detects by `_chain is None`; a second call must hit the cache
+    x = build_hom(complete(3), complete(5))
+    with tracing.Tracer() as t:
+        dims, facets = x.chain_data()
+        counted = t.counters["homcx.chain_data"]["facets"]
+        assert counted == sum(map(len, facets)) > 0
+        assert x.chain_data() == (dims, facets)
+        assert t.counters["homcx.chain_data"]["facets"] == counted

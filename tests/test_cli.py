@@ -177,6 +177,18 @@ def test_bad_outside_input_exits_2(argv, env):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (("hom", "--source", "K2", "--target", "K3", "--budget", "-1"), {}),
+    (("hom", "--source", "K2", "--target", "K3"),
+     {"HOMTOPO_BUDGET_CELLS": "-5"}),
+    (("equivariant", "bound", "--graph", "K3", "--budget", "-1"), {}),
+])
+def test_negative_budget_exits_2(argv, env):
+    code, err = run_cli(*argv, **env)
+    assert code == 2
+    assert err.startswith("error: ") and "must be >= 0" in err
+    assert "Traceback" not in err
+
 def test_config_value_type_checked(capsys, tmp_path):
     cfg = tmp_path / "budgets.cfg"
     cfg.write_text("seed = x\n")

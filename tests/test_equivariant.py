@@ -149,3 +149,9 @@ def test_equivariant_report():
     assert rep["free"] is True
     assert rep["bound"] == rep["sw_height"] + 2 == 3
     assert rep["quotient_betti"][0] == 1
+
+
+@pytest.mark.parametrize("m", [1, 0])
+def test_report_needs_m_at_least_2(m):
+    with pytest.raises(DomainError, match=r"need m >= 2 for the swap action"):
+        equivariant_report(complete(3), m)

@@ -3,9 +3,10 @@ links, and the component shortcut."""
 
 import itertools
 import os
+import random
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from homtopo.errors import BudgetError, DomainError
@@ -232,3 +233,51 @@ def test_budget_env_must_be_an_integer(monkeypatch):
     monkeypatch.setenv("HOMTOPO_BUDGET_CELLS", "abc")
     with pytest.raises(DomainError):
         build_hom(complete(2), complete(3))
+
+
+def test_negative_budget_is_bad_input(monkeypatch):
+    with pytest.raises(DomainError, match="budget must be >= 0"):
+        build_hom(complete(2), complete(3), budget=-1)
+    monkeypatch.setenv("HOMTOPO_BUDGET_CELLS", "-5")
+    with pytest.raises(DomainError, match="HOMTOPO_BUDGET_CELLS must be >= 0"):
+        build_hom(complete(2), complete(3))
+
+
+def test_zero_budget_stays_valid():
+    assert len(build_hom(complete(3), complete(2), budget=0)) == 0
+    with pytest.raises(BudgetError) as e:
+        build_hom(complete(2), complete(3), budget=0)
+    assert e.value.found == 1
+
+
+def inclusion_facets(x):
+    """Oracle: per cell, the indices of the cells one bit below it that it
+    contains, found by scanning every cell of the dimension below."""
+    idx = x.index()
+    by_count: dict[int, list[int]] = {}
+    for k in x.keys:
+        by_count.setdefault(k.bit_count(), []).append(k)
+    return [sorted(idx[f] for f in by_count.get(k.bit_count() - 1, ())
+                   if f & ~k == 0)
+            for k in x.keys]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs(5), small_graphs(4), st.randoms(use_true_random=False))
+@example(from_edges(1, []), complete(3), random.Random(0))
+@example(from_edges(1, [(0, 0)]), complete(3, looped=True), random.Random(0))
+@example(complete(3), complete(2), random.Random(0))
+def test_face_data_property(g, h, rnd):
+    try:
+        x = build_hom(g, h, budget=4000)
+    except BudgetError:
+        reject()
+    dims, facets = x.chain_data()
+    assert dims == [k.bit_count() - g.n for k in x.keys]
+    for fs in facets:
+        assert all(a < b for a, b in zip(fs, fs[1:]))
+    assert facets == inclusion_facets(x)
+    assert x.keys == sorted(x.keys, key=lambda k: (k.bit_count(), k))
+    shuffled = list(x.keys)
+    rnd.shuffle(shuffled)
+    assert HomComplex(g, h, shuffled).keys == x.keys

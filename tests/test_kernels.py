@@ -7,13 +7,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homtopo import _kernels
 from homtopo._kernels import pure
 from homtopo.errors import BudgetError
-from homtopo.graphs import complete, cycle, path, petersen, q_graph
+from homtopo.graphs import (complete, cycle, from_edges, path, petersen,
+                            q_graph)
+from test_homcx import brute_cells, small_graphs
 
 compiled = pytest.mark.skipif(_kernels._core is None,
                               reason="compiled backend unavailable")
@@ -101,3 +103,26 @@ def test_pure_env_forces_backend():
 @compiled
 def test_default_backend_is_compiled():
     assert _kernels.BACKEND == "compiled"
+
+
+# A looped leaf (vertex 2) that the degree order visits last, so its cells
+# come from the looped branch of the last-vertex batch; H has loops on some
+# vertices only, so that branch must drop subsets.
+LOOPED_LEAF = from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+HALF_LOOPED = from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_graphs(4), small_graphs(3))
+@example(LOOPED_LEAF, HALF_LOOPED)
+@example(from_edges(1, [(0, 0)]), HALF_LOOPED)
+@example(from_edges(1, []), complete(3))
+@example(complete(3), complete(2))
+def test_enumerator_matches_oracle_and_budget(g, h):
+    want = sorted(sum(m << (g.n - 1 - x) * h.n for x, m in enumerate(cell))
+                  for cell in brute_cells(g, h))
+    assert pure.enumerate_hom_cells(g.adj, h.adj, len(want)) == want
+    for b in range(len(want)):
+        with pytest.raises(BudgetError) as e:
+            pure.enumerate_hom_cells(g.adj, h.adj, b)
+        assert e.value.found == b + 1
