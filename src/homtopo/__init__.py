@@ -1,6 +1,6 @@
 """Polyhedral complexes of graph multihomomorphisms and their invariants."""
 
-from ._kernels import BACKEND
+from ._kernels import BACKEND  # read only by perfbench/worker.py
 from .equivariant import (Involution, QuotientComplex, coloring_bound,
                           equivariant_report, has_invariant_component,
                           induced_involution, quotient, sw_height)

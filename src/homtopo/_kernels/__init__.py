@@ -1,37 +1,7 @@
-"""Kernel backend selection.
+"""The bitmask kernels: cell enumeration and GF(2) elimination."""
 
-The compiled extension (`homtopo._kernels._core`) is used when it imported
-cleanly and the instance fits its 64-bit key fast path; otherwise the
-pure-Python implementations run.  Set HOMTOPO_PURE=1 to force pure Python.
-"""
+from .pure import enumerate_hom_cells, gf2_in_span, gf2_rank
 
-from __future__ import annotations
+BACKEND = "pure"  # read only by perfbench/worker.py; drop when it stops
+_core = None  # read only by perfbench/tracing.py; drop when it stops
 
-import os
-
-from . import pure
-
-if os.environ.get("HOMTOPO_PURE"):
-    _core = None
-else:
-    try:
-        from . import _core  # type: ignore[attr-defined]
-    except ImportError:
-        _core = None
-
-BACKEND = "compiled" if _core is not None else "pure"
-
-
-def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
-    if _core is not None and len(adj_g) * max(len(adj_h), 1) <= 64:
-        return _core.enumerate_hom_cells(list(adj_g), list(adj_h), budget)
-    return pure.enumerate_hom_cells(adj_g, adj_h, budget)
-
-
-def gf2_rank(cols, nbits: int) -> int:
-    if _core is not None and nbits > 0:
-        return _core.gf2_rank(cols, nbits)
-    return pure.gf2_rank(cols, nbits)
-
-
-gf2_in_span = pure.gf2_in_span

@@ -135,12 +135,12 @@ def _pivots(cols) -> dict[int, int]:
     return pivots
 
 
-def gf2_rank(cols, nbits: int = 0) -> int:
-    """Rank over GF(2) of the int-bitmask columns (nbits is advisory here)."""
+def gf2_rank(cols) -> int:
+    """Rank over GF(2) of the int-bitmask columns."""
     return len(_pivots(cols))
 
 
-def gf2_in_span(cols, target: int, nbits: int = 0) -> bool:
+def gf2_in_span(cols, target: int) -> bool:
     """Is `target` an XOR combination of `cols`?"""
     pivots = _pivots(cols)
     while target:

@@ -425,7 +425,17 @@ def from_json_obj(obj) -> Graph:
         edges = obj["edges"]
     except (TypeError, KeyError) as exc:
         raise DomainError(f"graph object missing field: {exc}") from None
-    return from_edges(n, [tuple(e) for e in edges])
+    if type(n) is not int or n < 0:
+        raise DomainError(f"graph field 'n' must be a count, got {n!r}")
+    if not isinstance(edges, list):
+        raise DomainError(f"graph field 'edges' must be a list, got {edges!r}")
+    pairs = []
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(type(v) is int for v in e)):
+            raise DomainError(f"edge {e!r} is not a pair of vertex numbers")
+        pairs.append(tuple(e))
+    return from_edges(n, pairs)
 
 
 def to_json(g: Graph) -> str:
@@ -445,22 +455,30 @@ def to_edge_list(g: Graph) -> str:
 def from_edge_list(text: str) -> Graph:
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "n" or not header[1].isdecimal():
         raise DomainError("edge list must start with a header line 'n <count>'")
-    n = int(lines[0].split()[1])
+    n = int(header[1])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise DomainError(f"bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return from_edges(n, edges)
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file: JSON if it parses as JSON, else edge-list text."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read a graph file: JSON if it parses as JSON, else edge-list text.
+
+    A file that cannot be read as UTF-8 text, or that holds no graph,
+    raises DomainError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read graph file {path!r}: {exc}") from None
     try:
         obj = json.loads(text)
     except ValueError:

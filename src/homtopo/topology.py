@@ -343,7 +343,7 @@ def betti_gf2(c) -> BettiProfile:
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
         if rcols[k]:
-            ranks[k] = gf2_rank(rcols[k], rf[k - 1])
+            ranks[k] = gf2_rank(rcols[k])
     betti = [rf[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     betti[0] += seeds
     euler = sum((-1) ** k * fk for k, fk in enumerate(f))

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import homtopo
 from homtopo import _kernels, topology
 from homtopo.graphs import complete
 from homtopo.homcx import build_hom
@@ -40,6 +41,13 @@ def test_traced_methods_exist(tracing):
     for layer, cls, attr, _, _ in tracing.METHODS:
         assert callable(cls.__dict__.get(attr)), \
             f"{layer}: {cls.__name__}.{attr} is missing"
+
+
+def test_backend_names_read_by_perfbench():
+    # worker.py reports homtopo.BACKEND; tracing.py replays kernel calls
+    # against pure only when _kernels._core is set
+    assert homtopo.BACKEND == "pure"
+    assert _kernels._core is None
 
 
 def test_rank_reached_through_topology():

@@ -1,5 +1,6 @@
 """Command-line surface: documented invocations, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import shutil
@@ -164,14 +165,32 @@ def run_cli(*argv, **env):
     return out.returncode, out.stderr
 
 
+# files read by the bad-input cases below, as {tmp}/NAME
+BAD_FILES = {
+    "utf16.txt": "n 2\n0 1\n".encode("utf-16"),
+    "n-not-int.json": b'{"n": "x", "edges": []}',
+    "header.txt": b"n x\n0 1\n",
+    "triple.json": b'{"n": 3, "edges": [[0, 1, 2]]}',
+}
+
+
 @pytest.mark.parametrize("argv,env", [
     (("hom", "--source", "K2", "--target", "K3"),
      {"HOMTOPO_BUDGET_CELLS": "abc"}),
     (("verify", "fast", "--only", "exclusions", "--set", "seed=x"), {}),
     (("reduce", "core", "--graph", "L5", "--policy", "random:x"), {}),
+    (("hom", "--source", "{tmp}", "--target", "K3"), {}),
+    (("hom", "--source", "{tmp}/utf16.txt", "--target", "K3"), {}),
+    (("hom", "--source", "{tmp}/n-not-int.json", "--target", "K3"), {}),
+    (("hom", "--source", "{tmp}/header.txt", "--target", "K3"), {}),
+    (("hom", "--source", "{tmp}/triple.json", "--target", "K3"), {}),
+    (("verify", "fast", "--config", "{tmp}/missing.cfg"), {}),
+    (("verify", "fast", "--config", "{tmp}/utf16.txt"), {}),
 ])
-def test_bad_outside_input_exits_2(argv, env):
-    code, err = run_cli(*argv, **env)
+def test_bad_outside_input_exits_2(argv, env, tmp_path):
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    code, err = run_cli(*(a.format(tmp=tmp_path) for a in argv), **env)
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -209,10 +228,18 @@ def test_verify_pretty(capsys):
 
 
 def test_console_script():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["homtopo"]
+    modname, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(modname), attr) is main
+    # the installed script when there is one, else the module it points at
     exe = shutil.which("homtopo")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    out = subprocess.run([exe, "formulas", "f", "--m", "3", "--n", "4"],
+    cmd = [exe] if exe else [sys.executable, "-m", modname]
+    src = os.path.dirname(os.path.dirname(homtopo.__file__))
+    out = subprocess.run([*cmd, "formulas", "f", "--m", "3", "--n", "4"],
+                         env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"f": 13, "m": 3, "n": 4}

@@ -4,14 +4,16 @@ homotopy invariants, and core machinery."""
 import itertools
 
 import pytest
+from hypothesis import given, reject, settings
 
-from homtopo.errors import DomainError, ResourceError
+from homtopo.errors import BudgetError, DomainError, ResourceError
 from homtopo.folds import (dominated_pairs, fold, invariant_core,
                            irreducible_core, random_policy, smallest_policy)
 from homtopo.graphs import (Graph, are_isomorphic, bits, complete, cycle,
                             from_edges, path, petersen)
 from homtopo.homcx import build_hom
 from homtopo.topology import betti_gf2
+from test_homcx import small_graphs as any_graphs
 
 
 def brute_dominations(g):
@@ -87,6 +89,21 @@ def test_fold_preserves_betti():
         k = max(len(before), len(after))
         assert tuple(before) + (0,) * (k - len(before)) == \
             tuple(after) + (0,) * (k - len(after))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_graphs(5), any_graphs(4))
+def test_fold_invariance_property(g, h):
+    # the fold theorem: Hom(G, H) ~ Hom(G - v, H) whenever N(v) <= N(u)
+    try:
+        before = betti_gf2(build_hom(g, h, budget=4000)).betti
+        after = {v: betti_gf2(build_hom(fold(g, v), h, budget=4000)).betti
+                 for v in {r.v for r in dominated_pairs(g)}}
+    except BudgetError:
+        reject()
+    for v, betti in after.items():
+        assert all(a == b for a, b in itertools.zip_longest(
+            before, betti, fillvalue=0)), f"fold of vertex {v}"
 
 
 def test_policies():
