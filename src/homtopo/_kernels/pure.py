@@ -122,11 +122,12 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
 
 
 def _pivots(cols) -> dict[int, int]:
-    """Reduce the columns in turn; each survivor is keyed by its lowest bit."""
+    """Reduce the columns in turn; each survivor is keyed by the index of its
+    lowest bit (a small int hashes in constant time, a power of two does not)."""
     pivots: dict[int, int] = {}
     for col in cols:
         while col:
-            low = col & -col
+            low = (col & -col).bit_length()
             other = pivots.get(low)
             if other is None:
                 pivots[low] = col
@@ -144,8 +145,7 @@ def gf2_in_span(cols, target: int) -> bool:
     """Is `target` an XOR combination of `cols`?"""
     pivots = _pivots(cols)
     while target:
-        low = target & -target
-        other = pivots.get(low)
+        other = pivots.get((target & -target).bit_length())
         if other is None:
             return False
         target ^= other

@@ -174,7 +174,19 @@ def _load_config(path: str) -> dict:
     return out
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output file that cannot be created, before any work runs."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) \
+            or not os.access(target, os.W_OK):
+        raise DomainError(f"cannot write --json file {path!r}: "
+                          "not a file in a writable directory")
+
+
 def cmd_verify(args) -> int:
+    if args.json:
+        _check_writable(args.json)
     overrides = _load_config(args.config) if args.config else {}
     for item in args.set or []:
         if "=" not in item:

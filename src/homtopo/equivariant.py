@@ -1,27 +1,39 @@
 """Z/2-actions on Hom complexes, quotients, and the height of w_1.
 
-The quotient of a free cellular involution is taken after one barycentric
-subdivision: vertices are cell-orbits graded by cell dimension, simplices
-are orbit-chains with a chosen lift.  Because the involution preserves
-dimension and chains have strictly increasing dimension, no chain meets its
-own image, faces of a simplex land on pairwise distinct orbit-chains, and
-the Alexander-Whitney cup product applies in the grade order.
+A free involution a of Hom(G,H) induced by an automorphism gamma of G acts
+on cell orbits, and the orbits form a regular CW complex: a cell and its
+image share no face.  If phi lay under both eta and eta∘gamma, the
+pointwise intersection of eta and eta∘gamma would contain phi, so it
+would be a cell, and gamma would fix it.  (For the swap of vertices 0 and
+1 of K_m this is plain: a face (A',B',...) and its swap (B',A',...) both
+lie under eta = (A,B,...) only if A' lies in A and B, which are disjoint.)
+So the facets of an orbit are the orbits of the facets of either cell in
+it, each once.
 
-w labels an edge orbit-chain (c < d) by sheet(c) xor sheet(d), where
-sheet = 0 exactly on the chosen orbit representatives: the classifying
-cocycle of the double cover, so its cup powers represent powers of w_1.
+w_1 and its cup powers come from the transfer (Smith-Gysin) sequence
+0 -> C*(X/Z2) -> C*(X) -> C*(X/Z2) -> 0 over GF(2).  Its connecting map is
+the cup product with w_1: lift a quotient cocycle onto the representatives
+(zero on the other sheet), apply the coboundary of X, and read the result
+off the representatives.  Starting from the all-ones 0-cochain, k steps
+give a cocycle representing w_1^k.
+
+`quotient` keeps the older model, one barycentric subdivision: vertices are
+cell-orbits graded by cell dimension, simplices are orbit-chains with a
+chosen lift.  It is no longer used for heights or bounds.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
+from . import topology
 from ._kernels import gf2_in_span
-from .errors import DomainError
-from .graphs import Graph, complete, validate_involution
+from .errors import ConsistencyError, DomainError, ResourceError
+from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import betti_gf2, face_poset, skeleton_labels
+from .topology import betti_gf2, f_vector, face_poset, skeleton_labels
 
 
 @dataclass(frozen=True)
@@ -46,66 +58,124 @@ def induced_involution(x: HomComplex, gamma) -> Involution:
     return Involution(x, perm, not fixed, fixed)
 
 
-class QuotientComplex:
-    """Ordered Delta-complex of orbit-chains of a free cellular involution."""
+def _require_free(x, a: Involution) -> None:
+    if not a.free:
+        i = a.fixed[0]
+        label = x.cell_label(i) if hasattr(x, "cell_label") else str(i)
+        raise DomainError(f"action is not free: cell {label} is fixed")
+
+
+class OrbitComplex:
+    """CW complex of the cell orbits {eta, a(eta)} of a free involution.
+
+    x must list its cells in dimension order, as HomComplex does; orbits
+    are numbered by their lower cell index, so they come in that order too.
+    reps[t] is the cell chosen to stand for orbit t.
+    """
 
     def __init__(self, x, a: Involution, rep_seed: int | None = None):
-        if not a.free:
-            i = a.fixed[0]
-            label = x.cell_label(i) if hasattr(x, "cell_label") else str(i)
-            raise DomainError(f"action is not free: cell {label} is fixed")
-        p = face_poset(x)
-        perm = a.perm
-        m = len(p)
+        _require_free(x, a)
+        xdims, xfacets = x.chain_data()
         rng = random.Random(rep_seed) if rep_seed is not None else None
-        orb = [-1] * m
-        sheet = [0] * m
+        orb = [-1] * len(xdims)
         reps = []
-        grades = []
-        for i in range(m):
-            if orb[i] >= 0:
-                continue
-            j = perm[i]
-            rep = i
-            if rng is not None and rng.random() < 0.5:
-                rep = j
-            t = len(reps)
-            orb[i] = orb[j] = t
-            sheet[i] = 0 if i == rep else 1
-            sheet[j] = 1 - sheet[i]
-            reps.append(rep)
-            grades.append(p.grades[i])
+        for i, j in enumerate(a.perm):
+            if orb[i] < 0:
+                orb[i] = orb[j] = len(reps)
+                reps.append(j if rng is not None and rng.random() < 0.5 else i)
+        dims = [xdims[r] for r in reps]
+        facets = []
+        for r in reps:
+            fs = {orb[j] for j in xfacets[r]}
+            if len(fs) != len(xfacets[r]):
+                raise ConsistencyError(
+                    f"two facets of cell {r} lie in one orbit of the involution")
+            facets.append(sorted(fs))
         self.complex = x
-        self.perm = perm
-        self.orb = orb
-        self.sheet = sheet
         self.reps = reps
-        self.orbit_grades = grades
+        self._chain = (dims, facets)
+        # start[d] = first orbit of dimension d; start[dim + 1] = len(self)
+        self._start = [bisect_left(dims, d)
+                       for d in range(max(dims, default=-1) + 2)]
+        self._w = [(1 << dims.count(0)) - 1]  # w_1^0: the all-ones 0-cochain
 
+    def __len__(self):
+        return len(self.reps)
+
+    @property
+    def dim(self) -> int:
+        return len(self._start) - 2
+
+    def chain_data(self):
+        return self._chain
+
+    def coboundary_columns(self, k: int) -> list[int]:
+        """delta: C^{k-1} -> C^k, one column per (k-1)-orbit, bits over the
+        k-orbits in order."""
+        if not 1 <= k <= self.dim:
+            return []
+        lo, mid, hi = self._start[k - 1:k + 2]
+        facets = self._chain[1]
+        cols = [0] * (mid - lo)
+        for t in range(mid, hi):
+            bit = 1 << (t - mid)
+            for j in facets[t]:
+                cols[j - lo] ^= bit
+        return cols
+
+    def w_power_vector(self, k: int) -> int:
+        """A cocycle representing w_1^k, as a bitmask over the k-orbits."""
+        if not 0 <= k <= self.dim:
+            return 0
+        xfacets = self.complex.chain_data()[1]
+        reps, start = self.reps, self._start
+        while len(self._w) <= k:
+            d = len(self._w)
+            vec = self._w[-1]
+            # the lift: representatives of the (d-1)-orbits where vec is 1
+            lo = start[d - 1]
+            lift = {reps[lo + t] for t in bits(vec)}
+            out = 0
+            for s, t in enumerate(range(start[d], start[d + 1])):
+                # delta_X of the lift on the representative of orbit t
+                if sum(j in lift for j in xfacets[reps[t]]) & 1:
+                    out |= 1 << s
+            self._w.append(out)
+        return self._w[k]
+
+
+def orbit_complex(x, a: Involution, rep_seed: int | None = None) -> OrbitComplex:
+    """The orbit complex of `a`; `rep_seed` picks the representative sheet
+    at random (None: the lower cell index of each orbit)."""
+    return OrbitComplex(x, a, rep_seed)
+
+
+class QuotientComplex:
+    """Ordered Delta-complex of orbit-chains of a free cellular involution.
+
+    The involution preserves dimension and a chain strictly increases it,
+    so no chain meets its own image and the faces of a simplex land on
+    pairwise distinct orbit-chains.
+    """
+
+    def __init__(self, x, a: Involution):
+        _require_free(x, a)
+        p = face_poset(x)
+        self.perm = perm = a.perm
         lifts = {}
         for chain in p.chains():
             mirror = tuple(perm[c] for c in chain)
-            lift = min(chain, mirror)
-            lifts[lift] = True
+            lifts[min(chain, mirror)] = True
         self.simplices = sorted(lifts, key=lambda t: (len(t), t))
         self._index = {t: i for i, t in enumerate(self.simplices)}
         self._chain = None
-        # local (within-dimension) numbering
-        self._local = []
-        self._buckets: list[list[int]] = []
-        for i, t in enumerate(self.simplices):
-            d = len(t) - 1
-            while len(self._buckets) <= d:
-                self._buckets.append([])
-            self._local.append(len(self._buckets[d]))
-            self._buckets[d].append(i)
 
     def __len__(self):
         return len(self.simplices)
 
     @property
     def dim(self) -> int:
-        return len(self._buckets) - 1
+        return len(self.simplices[-1]) - 1 if self.simplices else -1
 
     def _canon(self, t: tuple) -> tuple:
         return min(t, tuple(self.perm[c] for c in t))
@@ -127,52 +197,34 @@ class QuotientComplex:
             self._chain = (dims, facets)
         return self._chain
 
-    def w_value(self, i: int) -> int:
-        """The cup power w^k on the k-simplex i (k = its dimension)."""
-        t = self.simplices[i]
-        out = 1
-        for a, b in zip(t, t[1:]):
-            out &= self.sheet[a] ^ self.sheet[b]
-        return out
 
-    def w_power_vector(self, k: int) -> int:
-        """w^k as a bitmask over the local order of k-simplices."""
-        if k >= len(self._buckets):
-            return 0
-        vec = 0
-        for pos, i in enumerate(self._buckets[k]):
-            if self.w_value(i):
-                vec |= 1 << pos
-        return vec
-
-    def coboundary_columns(self, k: int) -> list[int]:
-        """delta: C^{k-1} -> C^k, one column per (k-1)-simplex."""
-        if k >= len(self._buckets) or k < 1:
-            return []
-        cols = [0] * len(self._buckets[k - 1])
-        for i in self._buckets[k]:
-            s = self._local[i]
-            t = self.simplices[i]
-            for d in range(len(t)):
-                cols[self._local[self.face_index(i, d)]] ^= 1 << s
-        return cols
+def quotient(x, a: Involution) -> QuotientComplex:
+    """The barycentric-subdivision quotient X/a as an ordered Delta-complex."""
+    return QuotientComplex(x, a)
 
 
-def quotient(x, a: Involution, rep_seed: int | None = None) -> QuotientComplex:
-    return QuotientComplex(x, a, rep_seed)
+def _height(q: OrbitComplex, cap: int | None) -> int:
+    top = q.dim
+    cap = top if cap is None else min(cap, top)
+    f = f_vector(q)
+    for k in range(1, cap + 1):
+        if f[k - 1] * f[k] > topology.MATRIX_BIT_CAP:
+            raise ResourceError(f"coboundary matrix {f[k - 1]}x{f[k]} exceeds "
+                                f"{topology.MATRIX_BIT_CAP} bits")
+    for k in range(1, cap + 1):
+        if gf2_in_span(q.coboundary_columns(k), q.w_power_vector(k)):
+            return k - 1
+    return cap
 
 
 def sw_height(x, a: Involution, cap: int | None = None,
               rep_seed: int | None = None) -> int:
-    """Largest k with w^k not a coboundary on the quotient (0 if w is one)."""
-    q = quotient(x, a, rep_seed)
-    top = q.dim
-    cap = top if cap is None else min(cap, top)
-    for k in range(1, cap + 1):
-        target = q.w_power_vector(k)
-        if gf2_in_span(q.coboundary_columns(k), target):
-            return k - 1
-    return cap
+    """Largest k with w_1^k != 0 on the quotient (0 if w_1 = 0), at most `cap`.
+
+    Every coboundary matrix up to `cap` is checked against MATRIX_BIT_CAP
+    before any elimination runs.
+    """
+    return _height(orbit_complex(x, a, rep_seed), cap)
 
 
 def has_invariant_component(x, a: Involution) -> bool:
@@ -206,8 +258,8 @@ def equivariant_report(g: Graph, m: int = 2, budget: int | None = None) -> dict:
     if not x.keys:
         raise DomainError(f"no homomorphisms from K_{m}; bound undefined")
     a = induced_involution(x, _swap_map(m))
-    q = quotient(x, a)
-    k = sw_height(x, a)
+    q = orbit_complex(x, a)
+    k = _height(q, None)
     return {"free": a.free,
             "quotient_betti": list(betti_gf2(q).betti),
             "sw_height": k,

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import homtopo
-from homtopo import _kernels, topology
+from homtopo import _kernels, equivariant, topology
 from homtopo.graphs import complete
 from homtopo.homcx import build_hom
 
@@ -54,6 +54,22 @@ def test_rank_reached_through_topology():
     # the tracer counts rank columns by patching every module holding the
     # kernel function, so betti_gf2 must call it through this name
     assert topology.gf2_rank is _kernels.gf2_rank
+
+
+def test_span_reached_through_equivariant():
+    # likewise for the span columns that sw_height tests
+    assert equivariant.gf2_in_span is _kernels.gf2_in_span
+
+
+def test_quotient_has_what_check_rp_reads():
+    # workloads._check_rp counts q.simplices by length against q.dim
+    x = build_hom(complete(2), complete(4))
+    q = equivariant.quotient(x, equivariant.induced_involution(x, (1, 0)))
+    assert q.dim == 2
+    f = [0] * (q.dim + 1)
+    for s in q.simplices:
+        f[len(s) - 1] += 1
+    assert tuple(f) == topology.betti_gf2(q).f_vector
 
 
 def test_chain_data_facets_counted_once(tracing):

@@ -87,6 +87,22 @@ def test_equivariant_bound(capsys):
     assert code == 0 and obj["bound"] == 3 and obj["free"] is True
     code, _ = run(capsys, "equivariant", "bound", "--graph", "K3o")
     assert code == 2
+    # the orbit complex of Hom(K2,K7) has 966 cells; its subdivision is
+    # past MATRIX_BIT_CAP
+    code, obj = run_json(capsys, "equivariant", "bound", "--graph", "K7")
+    assert code == 0 and obj["bound"] == 7
+    assert obj["quotient_betti"] == [1] * 6
+
+
+def test_verify_json_path_checked_before_the_run(capsys, tmp_path,
+                                                 monkeypatch):
+    def no_run(*args):
+        raise AssertionError("checks ran before the --json path was checked")
+
+    monkeypatch.setattr("homtopo.cli.run_checks", no_run)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, _ = run(capsys, "verify", "fast", "--json", str(path))
+        assert code == 2
 
 
 def test_formulas(capsys):
@@ -186,6 +202,8 @@ BAD_FILES = {
     (("hom", "--source", "{tmp}/triple.json", "--target", "K3"), {}),
     (("verify", "fast", "--config", "{tmp}/missing.cfg"), {}),
     (("verify", "fast", "--config", "{tmp}/utf16.txt"), {}),
+    (("verify", "fast", "--only", "exclusions",
+      "--json", "{tmp}/missing/x.json"), {}),
 ])
 def test_bad_outside_input_exits_2(argv, env, tmp_path):
     for name, data in BAD_FILES.items():

@@ -1,16 +1,22 @@
-"""Free involutions, subdivision quotients, the classifying cocycle, and
-chromatic lower bounds."""
+"""Free involutions, orbit complexes, the connecting map that gives w_1,
+chromatic lower bounds, and the subdivision quotient as their oracle."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homtopo.equivariant import (coloring_bound, equivariant_report,
+from homtopo import _kernels, equivariant, topology
+from homtopo.corpus import loopless_corpus
+from homtopo.equivariant import (_swap_map, coloring_bound, equivariant_report,
                                  has_invariant_component, induced_involution,
-                                 quotient, sw_height)
-from homtopo.errors import DomainError
+                                 orbit_complex, quotient, sw_height)
+from homtopo.errors import DomainError, ResourceError
 from homtopo.graphs import (chromatic_number, complete, cycle, disjoint_union,
-                            petersen)
+                            from_edges, kneser, petersen)
 from homtopo.homcx import build_hom
-from homtopo.topology import betti_gf2, face_poset
+from homtopo.topology import betti_gf2, f_vector, face_poset
 
 FLIP = (1, 0)
 
@@ -18,6 +24,89 @@ FLIP = (1, 0)
 def flip_complex(h):
     x = build_hom(complete(2), h)
     return x, induced_involution(x, FLIP)
+
+
+def swap_complex(g, m):
+    x = build_hom(complete(m), g)
+    return x, induced_involution(x, _swap_map(m))
+
+
+# ------------------------------------------------- the subdivision oracle
+
+class Subdivided:
+    """w^k and delta on the barycentric-subdivision quotient.
+
+    w labels an edge orbit-chain (c < d) by sheet(c) xor sheet(d), where
+    sheet = 0 exactly on the chosen orbit representatives (the lower cell
+    index, or a coin flip per orbit under `rep_seed`): the classifying
+    cocycle of the double cover, and its Alexander-Whitney cup power w^k is
+    the product of those labels along a k-simplex.
+    """
+
+    def __init__(self, x, a, rep_seed=None):
+        self.q = q = quotient(x, a)
+        rng = random.Random(rep_seed) if rep_seed is not None else None
+        sheet = {}
+        for i, j in enumerate(a.perm):
+            if i not in sheet:
+                flip = rng is not None and rng.random() < 0.5
+                sheet[i], sheet[j] = int(flip), int(not flip)
+        self.sheet = sheet
+        self.dims, self.facets = q.chain_data()
+        self.local, self.count = [], [0] * (q.dim + 1)
+        for d in self.dims:
+            self.local.append(self.count[d])
+            self.count[d] += 1
+
+    def w_power_vector(self, k):
+        vec = 0
+        for i, t in enumerate(self.q.simplices):
+            if self.dims[i] == k and all(self.sheet[u] != self.sheet[v]
+                                         for u, v in zip(t, t[1:])):
+                vec |= 1 << self.local[i]
+        return vec
+
+    def coboundary_columns(self, k):
+        cols = [0] * self.count[k - 1]
+        for i, d in enumerate(self.dims):
+            if d == k:
+                for j in self.facets[i]:
+                    cols[self.local[j]] ^= 1 << self.local[i]
+        return cols
+
+    def height(self):
+        for k in range(1, self.q.dim + 1):
+            if _kernels.gf2_in_span(self.coboundary_columns(k),
+                                    self.w_power_vector(k)):
+                return k - 1
+        return self.q.dim
+
+
+def assert_coboundary_squares_to_zero(c, top):
+    for k in range(1, top):
+        lower = c.coboundary_columns(k)
+        upper = c.coboundary_columns(k + 1)
+        assert lower and upper
+        for col in lower:
+            acc = 0
+            for pos, u in enumerate(upper):
+                if col >> pos & 1:
+                    acc ^= u
+            assert acc == 0
+
+
+def vanishing_chain(c, top):
+    return [_kernels.gf2_in_span(c.coboundary_columns(k), c.w_power_vector(k))
+            for k in range(1, top + 1)]
+
+
+def assert_matches_oracle(g, m):
+    x, a = swap_complex(g, m)
+    for seed in (None, 3):
+        want = Subdivided(x, a, seed).height()
+        assert sw_height(x, a, rep_seed=seed) == want
+    assert coloring_bound(g, m) == want + m
+    assert betti_gf2(orbit_complex(x, a)).betti == betti_gf2(quotient(x, a)).betti
 
 
 def test_induced_involution():
@@ -39,6 +128,10 @@ def test_fixed_cell_detected():
     assert not a.free and a.fixed
     with pytest.raises(DomainError):
         quotient(x, a)
+    with pytest.raises(DomainError):
+        orbit_complex(x, a)
+    with pytest.raises(DomainError):
+        sw_height(x, a)
 
 
 def test_quotient_counts():
@@ -55,38 +148,73 @@ def test_quotient_counts():
         assert len(set(fs)) == len(fs)  # faces pairwise distinct
 
 
+def test_orbit_counts():
+    x, a = flip_complex(complete(4))
+    q = orbit_complex(x, a)
+    assert 2 * len(q) == len(x)
+    assert 2 * betti_gf2(q).euler == betti_gf2(x).euler
+    assert 2 * f_vector(q)[2] == f_vector(x)[2]
+    xdims, xfacets = x.chain_data()
+    dims, facets = q.chain_data()
+    assert dims == sorted(dims)
+    orb = {}
+    for t, r in enumerate(q.reps):
+        orb[r] = orb[a.perm[r]] = t
+    assert len(orb) == len(x)
+    for t, r in enumerate(q.reps):
+        assert dims[t] == xdims[r]
+        # the facets of an orbit, each once, from either cell in it
+        for cell in (r, a.perm[r]):
+            assert facets[t] == sorted({orb[j] for j in xfacets[cell]})
+            assert len(facets[t]) == len(xfacets[cell])
+
+
 @pytest.mark.parametrize("n,height", [(3, 1), (4, 2), (5, 3)])
 def test_projective_quotients(n, height):
     x, a = flip_complex(complete(n))
     q = quotient(x, a)
     assert betti_gf2(q).betti == (1,) * (n - 1)
-    assert sw_height(x, a) == height
+    assert sw_height(x, a) == height == Subdivided(x, a).height()
 
 
 def test_coboundary_squares_to_zero():
     x, a = flip_complex(complete(4))
-    q = quotient(x, a)
-    for k in range(1, q.dim):
-        lower = q.coboundary_columns(k)
-        upper = q.coboundary_columns(k + 1)
-        for col in lower:
-            acc = 0
-            for pos, c in enumerate(upper):
-                if col >> pos & 1:
-                    acc ^= c
-            assert acc == 0
+    q = orbit_complex(x, a)
+    assert_coboundary_squares_to_zero(q, q.dim)
+
+
+def test_subdivided_coboundary_squares_to_zero():
+    x, a = flip_complex(complete(4))
+    s = Subdivided(x, a)
+    assert_coboundary_squares_to_zero(s, s.q.dim)
 
 
 def test_w_power_vanishing_chain():
-    # heights are downward closed: w^k is a coboundary exactly above them
-    from homtopo._kernels import gf2_in_span
+    # heights are downward closed: w^k is a coboundary exactly above them,
+    # and every w^k is a cocycle
     for h in (complete(4), cycle(4), cycle(6)):
         x, a = flip_complex(h)
-        q = quotient(x, a)
-        chain = [gf2_in_span(q.coboundary_columns(k), q.w_power_vector(k))
-                 for k in range(1, q.dim + 1)]
+        q = orbit_complex(x, a)
         k = sw_height(x, a)
+        chain = vanishing_chain(q, q.dim)
         assert chain == [False] * k + [True] * (len(chain) - k)
+        for j in range(q.dim):
+            w = q.w_power_vector(j)
+            delta = 0
+            for pos, c in enumerate(q.coboundary_columns(j + 1)):
+                if w >> pos & 1:
+                    delta ^= c
+            assert delta == 0
+
+
+def test_subdivided_w_power_vanishing_chain():
+    for h in (complete(4), cycle(4), cycle(6)):
+        x, a = flip_complex(h)
+        s = Subdivided(x, a)
+        k = s.height()
+        chain = vanishing_chain(s, s.q.dim)
+        assert chain == [False] * k + [True] * (len(chain) - k)
+        assert k == sw_height(x, a)
 
 
 def test_rep_seed_independence():
@@ -99,6 +227,8 @@ def test_point_quotient():
     # Hom(K_2,K_2) = two swapped points; quotient is one point
     x, a = flip_complex(complete(2))
     q = quotient(x, a)
+    assert len(q) == 1 and betti_gf2(q).betti == (1,)
+    q = orbit_complex(x, a)
     assert len(q) == 1 and betti_gf2(q).betti == (1,)
     assert sw_height(x, a) == 0
 
@@ -155,3 +285,73 @@ def test_equivariant_report():
 def test_report_needs_m_at_least_2(m):
     with pytest.raises(DomainError, match=r"need m >= 2 for the swap action"):
         equivariant_report(complete(3), m)
+
+
+# --------------------------------------- orbit complex against the oracle
+
+CORPUS = {name: g for name, g in loopless_corpus().items()
+          if name != "K6"}  # K6 subdivided: 36,361 simplices, about 14 s
+
+
+@pytest.mark.parametrize("m,cases", [(2, 23), (3, 5)])
+def test_orbit_matches_subdivided_on_corpus(m, cases):
+    checked = 0
+    for g in CORPUS.values():
+        if build_hom(complete(m), g).keys:
+            assert_matches_oracle(g, m)
+            checked += 1
+    assert checked == cases
+
+
+@st.composite
+def loopless_graphs(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(loopless_graphs(5), st.sampled_from((2, 3)))
+def test_orbit_matches_subdivided_property(g, m):
+    if build_hom(complete(m), g).keys:
+        assert_matches_oracle(g, m)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_projective_orbit_quotients(n):
+    x, a = flip_complex(complete(n))
+    assert betti_gf2(orbit_complex(x, a)).betti == (1,) * (n - 1)
+    assert sw_height(x, a) == n - 2
+
+
+def test_pinned_quotient_betti():
+    assert equivariant_report(complete(5), 3)["quotient_betti"] == [1, 1, 15]
+    assert equivariant_report(petersen(), 2)["quotient_betti"] == [1, 6, 0]
+
+
+@pytest.mark.parametrize("g,bound", [(complete(6), 6), (complete(7), 7),
+                                     (complete(8), 8), (kneser(2, 6), 4)])
+def test_bounds_past_the_subdivision(g, bound):
+    # kneser(2,6) has chi = 6 - 4 + 2 = 4 (Lovasz)
+    assert coloring_bound(g) == bound
+
+
+def test_height_checks_the_cap_before_any_span_test(monkeypatch):
+    x, a = flip_complex(complete(5))
+    f = f_vector(orbit_complex(x, a))
+    largest = max(f[k - 1] * f[k] for k in range(1, len(f)))
+    spans = []
+    monkeypatch.setattr(equivariant, "gf2_in_span",
+                        lambda cols, t: spans.append(len(cols)))
+    monkeypatch.setattr(topology, "MATRIX_BIT_CAP", largest - 1)
+    with pytest.raises(ResourceError, match="coboundary matrix"):
+        sw_height(x, a)
+    assert spans == []
+    with pytest.raises(ResourceError):
+        coloring_bound(complete(5))
+    assert spans == []
+    monkeypatch.undo()
+    monkeypatch.setattr(topology, "MATRIX_BIT_CAP", largest)
+    assert sw_height(x, a) == 3

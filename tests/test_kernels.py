@@ -35,6 +35,28 @@ def test_in_span_iff_rank_unchanged(cols, t):
     assert _kernels.gf2_in_span(cols, t) == (rank(cols + [t]) == rank(cols))
 
 
+def high_bit_rank(cols):
+    """Oracle: elimination on the highest bit, pivots in a list."""
+    basis = []
+    for col in cols:
+        for b in basis:
+            col = min(col, col ^ b)
+        if col:
+            basis.append(col)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, (1 << 200) - 1), max_size=10))
+def test_rank_of_wide_columns(base):
+    # 200-bit columns and XOR combinations of them, so that rank < length
+    cols = base + [a ^ b for a, b in zip(base, base[1:])]
+    assert _kernels.gf2_rank(cols) == high_bit_rank(cols) == high_bit_rank(base)
+    for a, b in zip(base, base[1:]):
+        assert _kernels.gf2_in_span(base, a ^ b)
+
+
 def test_keys_wider_than_64_bits():
     # 33 source vertices x 2 target vertices = 66-bit keys, beyond any
     # brute-force oracle's reach: exactly the two alternating colorings
