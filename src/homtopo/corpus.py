@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
 
 from .errors import BudgetError, DomainError
-from .graphs import (Graph, are_isomorphic, complement, complete, cycle,
-                     disjoint_union, from_edges, path, petersen, q_graph)
+from .graphs import (Graph, bits, complete, cycle, disjoint_union,
+                     from_edges, path, petersen, q_graph)
 
 
 def star(k: int) -> Graph:
@@ -58,54 +57,45 @@ def loopless_corpus(max_n: int | None = None) -> dict[str, Graph]:
             if g.is_loopless() and (max_n is None or g.n <= max_n)}
 
 
-def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    edges = []
-    leaf = min(v for v in range(n) if degree[v] == 1)
-    ptr = leaf
-    for s in seq:
-        edges.append((leaf, s))
-        degree[s] -= 1
-        if degree[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return from_edges(n, edges)
+def _centre_code(adj: list[int]) -> str:
+    """AHU code of the tree `adj` rooted at its centre; the smaller of the
+    two codes when the centre is an edge."""
+    deg = [row.bit_count() for row in adj]
+    layer = [v for v in range(len(adj)) if deg[v] <= 1]
+    left = len(adj)
+    while left > 2:  # peel leaves until the centre remains
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in bits(adj[v]):
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        layer = nxt
 
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(u, v) for u in bits(adj[v])
+                                    if u != parent)) + ")"
 
-def _tree_invariant(g: Graph) -> tuple:
-    degs = [g.degree(v) for v in range(g.n)]
-    prof = sorted((degs[v], tuple(sorted(degs[u] for u in range(g.n)
-                                         if g.adj[v] >> u & 1)))
-                  for v in range(g.n))
-    return tuple(prof)
+    return min(code(c, -1) for c in layer)
 
 
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple[Graph, ...]:
-    """All trees on n vertices, one per isomorphism class."""
+    """All trees on n vertices, one per isomorphism class: every tree on
+    n-1 vertices grown by a leaf at each vertex, kept once per centre code."""
     if n < 1:
         raise DomainError("trees need n >= 1")
     if n == 1:
         return (Graph(1, (0,)),)
-    if n == 2:
-        return (complete(2),)
-    buckets: dict[tuple, list[Graph]] = {}
-    for seq in product(range(n), repeat=n - 2):
-        t = _tree_from_pruefer(seq, n)
-        key = _tree_invariant(t)
-        known = buckets.setdefault(key, [])
-        if not any(are_isomorphic(t, u) for u in known):
-            known.append(t)
-    out = [t for b in buckets.values() for t in b]
-    out.sort(key=lambda g: g.adj)
-    return tuple(out)
+    kept: dict[str, list[int]] = {}
+    for t in all_trees(n - 1):
+        for v in range(n - 1):
+            adj = [*t.adj, 1 << v]
+            adj[v] |= 1 << (n - 1)
+            kept.setdefault(_centre_code(adj), adj)
+    return tuple(sorted((Graph(n, tuple(a)) for a in kept.values()),
+                        key=lambda g: g.adj))
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb, factorial
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import complete
 from .homcx import build_hom, face_relation
 from .topology import Poset
@@ -28,42 +28,79 @@ STAR_MINUS = "star-"
 MIDDLE = "middle"
 
 MN_MAX = 6
+# largest n for f, chi, S(n,k) and the generating identity; each answers
+# in about 1 s at the cap
+FORMULA_N_MAX = 1024
+# a table checks f and chi on every (m, n), so it stops sooner
+TABLE_N_MAX = 64
 
 _DIGITS_PLUS = {1: (2,), 0: (1,), "*": (1, 2)}
 _DIGITS_MINUS = {-1: (0,), 0: (1,), "*": (0, 1)}
 
 
-@lru_cache(maxsize=None)
+def _check_size(n: int) -> None:
+    if n > FORMULA_N_MAX:
+        raise ResourceError(f"formulas capped at n={FORMULA_N_MAX}")
+
+
+def _sign(k: int) -> int:
+    """(-1)^k as an exact int, for negative k too."""
+    return -1 if k & 1 else 1
+
+
+def _stirling_column(k: int):
+    """Yield S(0,k), S(1,k), ... from the rows of the triangle cut at
+    column k."""
+    row = [1] + [0] * k
+    while True:
+        yield row[k]
+        for j in range(k, 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+
+
+def _kmn_diagonals(m: int, corner: int, sign: int):
+    """Yield g(m,m), g(m,m+1), ... for the Hom(K_m,K_n) recurrence
+    g(j,k) = j g(j-1,k-1) + sign (j-1) g(j,k-1) with g(k,k) = k! + corner
+    and g(1,k) = 1 + corner, one diagonal k - j at a time."""
+    diag, fact = [], 1
+    for j in range(1, m + 1):
+        fact *= j
+        diag.append(fact + corner)
+    while True:
+        yield diag[-1]
+        nxt = [diag[0]]
+        for j in range(2, m + 1):
+            nxt.append(j * nxt[-1] + sign * (j - 1) * diag[j - 1])
+        diag = nxt
+
+
 def stirling2(n: int, k: int) -> int:
     """Set partitions of an n-set into k blocks, S(n,k)."""
     if n < 0 or k < 0:
         raise DomainError("Stirling numbers need nonnegative arguments")
-    if n == 0 or k == 0:
-        return int(n == k)
+    _check_size(n)
     if k > n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return next(islice(_stirling_column(k), n, None))
 
 
-@lru_cache(maxsize=None)
 def _f_rec(m: int, n: int) -> int:
     if m > n:
         return 0
-    if m == 1:
-        return 0
-    if m == n:
-        return factorial(n) - 1
-    return m * _f_rec(m - 1, n - 1) + (m - 1) * _f_rec(m, n - 1)
+    return next(islice(_kmn_diagonals(m, -1, 1), n - m, None))
 
 
 def _f_closed(m: int, n: int) -> int:
-    return sum((-1) ** (m + k + 1) * comb(m, k + 1) * k ** n
+    return sum(_sign(m + k + 1) * comb(m, k + 1) * k ** n
                for k in range(1, m))
 
 
 def _f_stirling(m: int, n: int) -> int:
-    s = sum((-1) ** k * stirling2(k - 1, m - 1) for k in range(m, n + 1))
-    return (-1) ** (m + n + 1) + factorial(m) * (-1) ** n * s
+    # sum over k = m..n of (-1)^k S(k-1, m-1)
+    s = sum(_sign(k) * v for k, v in
+            enumerate(islice(_stirling_column(m - 1), m - 1, n), start=m))
+    return _sign(m + n + 1) + factorial(m) * _sign(n) * s
 
 
 def f_wedge(m: int, n: int, method: str = "closed") -> int:
@@ -72,6 +109,7 @@ def f_wedge(m: int, n: int, method: str = "closed") -> int:
         raise DomainError("f(m,n) needs m, n >= 1")
     if method not in ("recurrence", "closed", "stirling"):
         raise DomainError(f"unknown method {method!r}")
+    _check_size(n)
     if m > n:
         return 0
     vals = {"recurrence": _f_rec(m, n), "closed": _f_closed(m, n),
@@ -86,13 +124,9 @@ def chi_hom(m: int, n: int) -> int:
     """Non-reduced Euler characteristic of Hom(K_m,K_n)."""
     if m < 1 or n < m:
         raise DomainError("chi(m,n) needs n >= m >= 1")
-    if m == 1:
-        chi = 1
-    elif m == n:
-        chi = factorial(n)
-    else:
-        chi = m * chi_hom(m - 1, n - 1) - (m - 1) * chi_hom(m, n - 1)
-    if chi != 1 + (-1) ** (m - n) * f_wedge(m, n):
+    _check_size(n)
+    chi = next(islice(_kmn_diagonals(m, 0, -1), n - m, None))
+    if chi != 1 + _sign(m - n) * f_wedge(m, n):
         raise ConsistencyError(
             f"chi({m},{n}) = {chi} != 1 + (-1)^(m-n) f({m},{n})")
     return chi
@@ -104,13 +138,15 @@ def verify_generating_identity(m: int, upto: int) -> bool:
     Both sides are expanded as coefficient streams: the left from the f
     recurrence, the right by dividing the numerator series by (1+x).
     """
-    if m < 1:
-        raise DomainError("need m >= 1")
+    if m < 1 or upto < 1:
+        raise DomainError("need m >= 1 and upto >= 1")
+    _check_size(max(m, upto))
+    lhs = _kmn_diagonals(m, -1, 1)  # f(m,n) for n >= m
+    fm = factorial(m)
     rhs = 0
-    for n in range(1, upto + 1):
-        num = factorial(m) * stirling2(n - 1, m - 1) - (1 if n == m else 0)
-        rhs = num - rhs
-        if rhs != f_wedge(m, n):
+    for n, s in zip(range(1, upto + 1), _stirling_column(m - 1)):
+        rhs = fm * s - int(n == m) - rhs  # s = S(n-1, m-1)
+        if rhs != (next(lhs) if n >= m else 0):
             return False
     return True
 
@@ -265,6 +301,8 @@ def rho_isomorphism_check(n: int) -> bool:
 
 def f_table(max_m: int, max_n: int) -> list[dict]:
     """Triangle of f(m,n) and chi(m,n) values as a list of row objects."""
+    if max_n > TABLE_N_MAX:
+        raise ResourceError(f"formula tables capped at n={TABLE_N_MAX}")
     return [{"m": m, "n": n, "f": f_wedge(m, n), "chi": chi_hom(m, n)}
-            for m in range(1, max_m + 1)
+            for m in range(1, min(max_m, max_n) + 1)
             for n in range(m, max_n + 1)]

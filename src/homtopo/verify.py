@@ -109,7 +109,7 @@ def check_formula_tri_agreement(cfg: dict):
         == f_wedge(m, n, "stirling")
         for m in range(1, 13) for n in range(m, 13))
     gen = all(verify_generating_identity(m, 12) for m in range(1, 13))
-    chi = all(chi_hom(m, n) == 1 + (-1) ** (m - n) * f_wedge(m, n)
+    chi = all(chi_hom(m, n) == 1 + (-1) ** (n - m) * f_wedge(m, n)
               for m in range(1, 13) for n in range(m, 13))
     expected = {"methods": True, "generating": True, "chi-identity": True}
     return expected, {"methods": methods_agree, "generating": gen,

@@ -125,6 +125,25 @@ def test_formulas(capsys):
     assert "2,3,1,0" in out.splitlines()
 
 
+def test_formulas_large_n(capsys):
+    code, out = run(capsys, "formulas", "table", "--max-m", "3",
+                    "--max-n", "60")
+    assert code == 0 and len(json.loads(out)) == 60 + 59 + 58
+    code, obj = run_json(capsys, "formulas", "f", "--m", "3", "--n", "1000")
+    assert code == 0 and obj["f"] == 2 ** 1000 - 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("formulas", "f", "--m", "3", "--n", "100000"),
+    ("formulas", "chi", "--m", "3", "--n", "100000"),
+    ("formulas", "gen", "--m", "3", "--upto", "100000"),
+    ("formulas", "table", "--max-m", "3", "--max-n", "100000"),
+])
+def test_formulas_over_cap_exit_3(argv, capsys):
+    assert main(list(argv)) == 3
+    assert capsys.readouterr().err.startswith("error: formula")
+
+
 def test_formulas_pretty(capsys):
     code, out = run(capsys, "formulas", "f", "--m", "3", "--n", "4",
                     "--pretty")
@@ -204,6 +223,7 @@ BAD_FILES = {
     (("verify", "fast", "--config", "{tmp}/utf16.txt"), {}),
     (("verify", "fast", "--only", "exclusions",
       "--json", "{tmp}/missing/x.json"), {}),
+    (("formulas", "gen", "--m", "2", "--upto", "-1"), {}),
 ])
 def test_bad_outside_input_exits_2(argv, env, tmp_path):
     for name, data in BAD_FILES.items():

@@ -1,7 +1,8 @@
 """Corpus determinism and the unlabeled tree/forest enumerations, checked
-against their known counting sequences and a labeled-count oracle."""
+against their known counting sequences and a Pruefer-code oracle."""
 
 import itertools
+import time
 
 from homtopo.corpus import (all_forests, all_trees, complete_bipartite,
                             cube_graph, fold_pairs, loopless_corpus,
@@ -9,9 +10,47 @@ from homtopo.corpus import (all_forests, all_trees, complete_bipartite,
 from homtopo.folds import dominated_pairs
 from homtopo.graphs import are_isomorphic, bits, find_isomorphism
 
-# unlabeled trees and forests on n >= 1 vertices
-TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11]
-FOREST_COUNTS = [1, 2, 3, 6, 10, 20, 37]
+# unlabeled trees (OEIS A000055) and forests (A005195) on n >= 1 vertices
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+FOREST_COUNTS = [1, 2, 3, 6, 10, 20, 37, 76, 153]
+
+
+def rows(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def pruefer_tree(seq, n):
+    """Oracle: decode a Pruefer sequence of length n - 2 (n >= 2) into the
+    adjacency rows of the labeled tree it names."""
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    edges = []
+    leaf = min(v for v in range(n) if degree[v] == 1)
+    ptr = leaf
+    for s in seq:
+        edges.append((leaf, s))
+        degree[s] -= 1
+        if degree[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return rows(n, edges)
+
+
+def labelings(g):
+    """Adjacency rows of every relabeling of g."""
+    edges = g.edge_pairs()
+    return {rows(g.n, [(p[u], p[v]) for u, v in edges])
+            for p in itertools.permutations(range(g.n))}
 
 
 def is_connected(g):
@@ -68,31 +107,51 @@ def test_small_families():
 
 
 def test_tree_counts_and_validity():
-    for n in range(1, 8):
+    for n in range(1, 11):
         trees = all_trees(n)
         assert len(trees) == TREE_COUNTS[n - 1]
+        assert list(trees) == sorted(trees, key=lambda g: g.adj)
         for t in trees:
             assert t.n == n and t.num_edges() == n - 1 and is_connected(t)
-        for a, b in itertools.combinations(trees, 2):
-            assert find_isomorphism(a, b) is None
+        if n <= 9:
+            for a, b in itertools.combinations(trees, 2):
+                assert find_isomorphism(a, b) is None
+
+
+def test_trees_match_pruefer_classes():
+    # the relabelings of the representatives partition the labeled trees
+    for n in range(2, 8):
+        labeled = {pruefer_tree(seq, n)
+                   for seq in itertools.product(range(n), repeat=n - 2)}
+        orbits = [labelings(t) for t in all_trees(n)]
+        assert sum(map(len, orbits)) == len(labeled)
+        assert set().union(*orbits) == labeled
+
+
+def test_all_trees_10_is_fast():
+    all_trees.cache_clear()
+    start = time.perf_counter()
+    trees = all_trees(10)
+    assert time.perf_counter() - start < 0.5
+    assert len(trees) == 106
 
 
 def test_forest_counts_and_validity():
-    for n in range(1, 8):
+    for n in range(1, 10):
         forests = all_forests(n)
         assert len(forests) == FOREST_COUNTS[n - 1]
         for f in forests:
             # acyclic: edges = vertices - components
             assert f.num_edges() == f.n - component_count(f)
-        for a, b in itertools.combinations(forests, 2):
-            assert find_isomorphism(a, b) is None
+        if n <= 7:
+            for a, b in itertools.combinations(forests, 2):
+                assert find_isomorphism(a, b) is None
 
 
 def test_labeled_tree_count():
-    # Pruefer enumeration must reach all n^(n-2) labeled trees
-    from homtopo.corpus import _tree_from_pruefer
+    # Pruefer decoding must reach all n^(n-2) labeled trees
     n = 5
-    seen = {_tree_from_pruefer(seq, n).adj
+    seen = {pruefer_tree(seq, n)
             for seq in itertools.product(range(n), repeat=n - 2)}
     assert len(seen) == n ** (n - 2)
 

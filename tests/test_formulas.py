@@ -7,8 +7,9 @@ from math import comb, factorial
 import pytest
 
 from homtopo import formulas
-from homtopo.errors import ConsistencyError, DomainError
-from homtopo.formulas import (MN_MAX, MnFaceLabel, chi_hom, cycle_components,
+from homtopo.errors import ConsistencyError, DomainError, ResourceError
+from homtopo.formulas import (FORMULA_N_MAX, MN_MAX, TABLE_N_MAX,
+                              MnFaceLabel, chi_hom, cycle_components,
                               f_table, f_wedge, mn_face_poset, mn_faces,
                               mn_symmetry, rho_cell, rho_isomorphism_check,
                               stirling2, verify_generating_identity)
@@ -73,6 +74,36 @@ def test_chi_matches_complex(m, n):
 
 def test_generating_identity():
     assert all(verify_generating_identity(m, 20) for m in range(1, 9))
+    with pytest.raises(DomainError):
+        verify_generating_identity(2, 0)
+
+
+def test_chi_exact_past_float_precision():
+    # (-1)^(m-n) with n > m is a float; the sign must stay an exact int
+    assert chi_hom(3, 55) == 2 ** 55 - 2
+    for m in range(1, 6):
+        for n in range(m, 81):
+            assert chi_hom(m, n) == 1 + (-1) ** (n - m) * f_wedge(m, n)
+
+
+def test_large_n_without_recursion():
+    # f(3,n) = 2^n - 3 in closed form
+    assert f_wedge(3, 1000) == 2 ** 1000 - 3
+    assert f_wedge(3, 1000, "recurrence") == f_wedge(3, 1000, "stirling")
+    assert stirling2(1000, 3) == brute_stirling2(1000, 3)
+    assert chi_hom(3, 1000) == 4 - 2 ** 1000
+    assert verify_generating_identity(3, 1000)
+
+
+def test_size_caps():
+    n = FORMULA_N_MAX + 1
+    for call in (lambda: f_wedge(3, n), lambda: chi_hom(3, n),
+                 lambda: stirling2(n, 3),
+                 lambda: verify_generating_identity(3, n),
+                 lambda: f_table(3, TABLE_N_MAX + 1)):
+        with pytest.raises(ResourceError):
+            call()
+    assert f_wedge(n, 3) == 0    # m > n needs no work
 
 
 def test_cycle_components_formula():
