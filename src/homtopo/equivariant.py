@@ -18,8 +18,12 @@ off the representatives.  Starting from the all-ones 0-cochain, k steps
 give a cocycle representing w_1^k.
 
 `quotient` keeps the older model, one barycentric subdivision: vertices are
-cell-orbits graded by cell dimension, simplices are orbit-chains with a
-chosen lift.  It is no longer used for heights or bounds.
+cell-orbits graded by cell dimension, simplices are orbit-chains.  Each
+orbit-chain is stored as the lift whose bottom cell is the lower cell of its
+orbit, so the chains of the face poset are filtered, not paired with their
+mirrors; a face is mirrored only when it drops that bottom cell and the next
+cell is the upper one of its orbit.  It is no longer used for heights or
+bounds.
 """
 
 from __future__ import annotations
@@ -156,18 +160,23 @@ class QuotientComplex:
     The involution preserves dimension and a chain strictly increases it,
     so no chain meets its own image and the faces of a simplex land on
     pairwise distinct orbit-chains.
+
+    Each orbit {t, a(t)} of chains is stored once, as the lift whose
+    bottom cell is the lower cell of its orbit, t[0] < a(t[0]).  The action
+    is free, so that lift is min(t, a(t)).  Simplices are ordered by
+    (length, lift).  A face that drops t[d] with d >= 1 keeps t[0], so it
+    is such a lift already; only t[1:] may need its mirror, when
+    t[1] > a(t[1]).
     """
 
     def __init__(self, x, a: Involution):
         _require_free(x, a)
-        p = face_poset(x)
         self.perm = perm = a.perm
-        lifts = {}
-        for chain in p.chains():
-            mirror = tuple(perm[c] for c in chain)
-            lifts[min(chain, mirror)] = True
-        self.simplices = sorted(lifts, key=lambda t: (len(t), t))
-        self._index = {t: i for i, t in enumerate(self.simplices)}
+        lifts = [t for t in face_poset(x).chains() if t[0] < perm[t[0]]]
+        lifts.sort()
+        lifts.sort(key=len)  # stable: (len(t), t) order
+        self.simplices = lifts
+        self._index = {t: i for i, t in enumerate(lifts)}
         self._chain = None
 
     def __len__(self):
@@ -177,23 +186,23 @@ class QuotientComplex:
     def dim(self) -> int:
         return len(self.simplices[-1]) - 1 if self.simplices else -1
 
-    def _canon(self, t: tuple) -> tuple:
-        return min(t, tuple(self.perm[c] for c in t))
-
-    def face_index(self, i: int, drop: int) -> int:
-        t = self.simplices[i]
-        return self._index[self._canon(t[:drop] + t[drop + 1:])]
-
     def chain_data(self):
         if self._chain is None:
-            dims = [len(t) - 1 for t in self.simplices]
-            facets = []
-            for i, t in enumerate(self.simplices):
-                if len(t) == 1:
+            perm, index = self.perm, self._index
+            dims, facets = [], []
+            for t in self.simplices:
+                n = len(t)
+                dims.append(n - 1)
+                if n == 1:
                     facets.append([])
-                else:
-                    facets.append(sorted(self.face_index(i, d)
-                                         for d in range(len(t))))
+                    continue
+                rest = t[1:]
+                if rest[0] > perm[rest[0]]:
+                    rest = tuple([perm[c] for c in rest])
+                fs = [index[t[:d] + t[d + 1:]] for d in range(1, n)]
+                fs.append(index[rest])
+                fs.sort()
+                facets.append(fs)
             self._chain = (dims, facets)
         return self._chain
 

@@ -3,7 +3,9 @@ component counts, Stirling machinery, and the cube-plus-diagonal zonotope M_n.
 
 f(m,n) = number of (n-m)-spheres in the wedge Hom(K_m,K_n) is computed three
 independent ways (recurrence, alternating binomial sum, Stirling sum) which
-are cross-checked on every call.  All arithmetic is exact big-integer.
+are cross-checked on every call.  Each way is a stream over n for fixed m,
+so a table walks each stream once per m.  All arithmetic is exact
+big-integer.
 
 M_n = [0,1]^n + [0, (1,...,1)] (Minkowski sum).  Its proper faces are
 realized by their vertex sets in digit coordinates {0,1,2}^n, so the face
@@ -32,7 +34,7 @@ MN_MAX = 6
 # in about 1 s at the cap
 FORMULA_N_MAX = 1024
 # a table checks f and chi on every (m, n), so it stops sooner
-TABLE_N_MAX = 64
+TABLE_N_MAX = 128
 
 _DIGITS_PLUS = {1: (2,), 0: (1,), "*": (1, 2)}
 _DIGITS_MINUS = {-1: (0,), 0: (1,), "*": (0, 1)}
@@ -85,22 +87,54 @@ def stirling2(n: int, k: int) -> int:
     return next(islice(_stirling_column(k), n, None))
 
 
+def _f_rec_values(m: int):
+    """Yield f(m,m), f(m,m+1), ... by the recurrence."""
+    return _kmn_diagonals(m, -1, 1)
+
+
+def _f_closed_values(m: int, n: int):
+    """Yield f(m,n), f(m,n+1), ... by the alternating binomial sum
+    f(m,n) = sum over k = 1..m-1 of (-1)^(m+k+1) C(m,k+1) k^n."""
+    terms = [_sign(m + k + 1) * comb(m, k + 1) * k ** n for k in range(1, m)]
+    while True:
+        yield sum(terms)
+        terms = [t * k for k, t in enumerate(terms, start=1)]
+
+
+def _f_stirling_values(m: int):
+    """Yield f(m,m), f(m,m+1), ... by the Stirling sum
+    f(m,n) = (-1)^(m+n+1) + m! (-1)^n s(n), s(n) = sum over k = m..n of
+    (-1)^k S(k-1, m-1)."""
+    fm, s = factorial(m), 0
+    column = islice(_stirling_column(m - 1), m - 1, None)
+    for n, v in enumerate(column, start=m):
+        s += _sign(n) * v
+        yield _sign(m + n + 1) + fm * _sign(n) * s
+
+
 def _f_rec(m: int, n: int) -> int:
     if m > n:
         return 0
-    return next(islice(_kmn_diagonals(m, -1, 1), n - m, None))
+    return next(islice(_f_rec_values(m), n - m, None))
 
 
 def _f_closed(m: int, n: int) -> int:
-    return sum(_sign(m + k + 1) * comb(m, k + 1) * k ** n
-               for k in range(1, m))
+    return next(_f_closed_values(m, n))
 
 
 def _f_stirling(m: int, n: int) -> int:
-    # sum over k = m..n of (-1)^k S(k-1, m-1)
-    s = sum(_sign(k) * v for k, v in
-            enumerate(islice(_stirling_column(m - 1), m - 1, n), start=m))
-    return _sign(m + n + 1) + factorial(m) * _sign(n) * s
+    return next(islice(_f_stirling_values(m), n - m, None))
+
+
+def _check_f(m: int, n: int, vals: dict) -> None:
+    if not vals["recurrence"] == vals["closed"] == vals["stirling"]:
+        raise ConsistencyError(f"f({m},{n}) methods disagree: {vals}")
+
+
+def _check_chi(m: int, n: int, chi: int, f: int) -> None:
+    if chi != 1 + _sign(m - n) * f:
+        raise ConsistencyError(
+            f"chi({m},{n}) = {chi} != 1 + (-1)^(m-n) f({m},{n})")
 
 
 def f_wedge(m: int, n: int, method: str = "closed") -> int:
@@ -114,8 +148,7 @@ def f_wedge(m: int, n: int, method: str = "closed") -> int:
         return 0
     vals = {"recurrence": _f_rec(m, n), "closed": _f_closed(m, n),
             "stirling": _f_stirling(m, n)}
-    if not vals["recurrence"] == vals["closed"] == vals["stirling"]:
-        raise ConsistencyError(f"f({m},{n}) methods disagree: {vals}")
+    _check_f(m, n, vals)
     return vals[method]
 
 
@@ -126,10 +159,18 @@ def chi_hom(m: int, n: int) -> int:
         raise DomainError("chi(m,n) needs n >= m >= 1")
     _check_size(n)
     chi = next(islice(_kmn_diagonals(m, 0, -1), n - m, None))
-    if chi != 1 + _sign(m - n) * f_wedge(m, n):
-        raise ConsistencyError(
-            f"chi({m},{n}) = {chi} != 1 + (-1)^(m-n) f({m},{n})")
+    _check_chi(m, n, chi, f_wedge(m, n))
     return chi
+
+
+def kmn_cells(m: int, n: int) -> int:
+    """Number of cells of Hom(K_m,K_n): maps from the n target vertices
+    to {unused, 1..m} that hit every source vertex,
+    sum over i = 0..m of (-1)^i C(m,i) (m+1-i)^n."""
+    if m < 1 or n < 0:
+        raise DomainError("cell count needs m >= 1 and n >= 0")
+    _check_size(n)
+    return sum(_sign(i) * comb(m, i) * (m + 1 - i) ** n for i in range(m + 1))
 
 
 def verify_generating_identity(m: int, upto: int) -> bool:
@@ -300,9 +341,21 @@ def rho_isomorphism_check(n: int) -> bool:
 
 
 def f_table(max_m: int, max_n: int) -> list[dict]:
-    """Triangle of f(m,n) and chi(m,n) values as a list of row objects."""
+    """Triangle of f(m,n) and chi(m,n) values as a list of row objects.
+
+    Each row is checked as f_wedge and chi_hom check it, from one pass of
+    every stream per m.
+    """
     if max_n > TABLE_N_MAX:
         raise ResourceError(f"formula tables capped at n={TABLE_N_MAX}")
-    return [{"m": m, "n": n, "f": f_wedge(m, n), "chi": chi_hom(m, n)}
-            for m in range(1, min(max_m, max_n) + 1)
-            for n in range(m, max_n + 1)]
+    rows = []
+    for m in range(1, min(max_m, max_n) + 1):
+        streams = zip(range(m, max_n + 1), _f_rec_values(m),
+                      _f_closed_values(m, m), _f_stirling_values(m),
+                      _kmn_diagonals(m, 0, -1))
+        for n, rec, closed, stirling, chi in streams:
+            _check_f(m, n, {"recurrence": rec, "closed": closed,
+                            "stirling": stirling})
+            _check_chi(m, n, chi, rec)
+            rows.append({"m": m, "n": n, "f": rec, "chi": chi})
+    return rows

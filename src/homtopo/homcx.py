@@ -156,10 +156,9 @@ class HomComplex:
         return obj
 
 
-def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
-    """Enumerate all of Hom(g,h); `budget` caps the cell count."""
-    if g.n < 1:
-        raise DomainError("source graph needs at least one vertex")
+def cell_budget(budget: int | None = None) -> int:
+    """The cell cap in force: `budget` (None: CELL_BUDGET), lowered to
+    HOMTOPO_BUDGET_CELLS when that is set."""
     if budget is None:
         budget = CELL_BUDGET
     if budget < 0:
@@ -175,7 +174,15 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
             raise DomainError(
                 f"HOMTOPO_BUDGET_CELLS must be >= 0, got {env_budget}")
         budget = min(budget, env_budget)
-    keys = enumerate_hom_cells(g.adj, h.adj, budget)
+    return budget
+
+
+def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
+    """Enumerate all of Hom(g,h); `budget` caps the cell count (see
+    cell_budget)."""
+    if g.n < 1:
+        raise DomainError("source graph needs at least one vertex")
+    keys = enumerate_hom_cells(g.adj, h.adj, cell_budget(budget))
     return HomComplex(g, h, keys)
 
 

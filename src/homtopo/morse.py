@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
+from .formulas import kmn_cells
 from .graphs import Graph, bits, complete
-from .homcx import HomComplex, build_hom, neighborhood_complex
+from .homcx import HomComplex, build_hom, cell_budget, neighborhood_complex
 from .topology import Poset, betti_gf2, face_poset, order_complex
 
 
@@ -78,9 +79,17 @@ def kmn_matching(m: int, n: int, budget: int | None = None):
     target vertex; eta with that vertex absent from eta(0) is matched with
     eta(0) extended by it.  Returns (matching, critical subcomplex); the
     critical cells are exactly those with eta(0) = {last}.
+
+    The cell count of Hom(K_m,K_n) is checked against the budget before
+    anything is enumerated.
     """
     if not 2 <= m <= n:
         raise DomainError(f"need 2 <= m <= n, got ({m},{n})")
+    budget = cell_budget(budget)
+    cells = kmn_cells(m, n)
+    if cells > budget:
+        raise BudgetError(f"cell budget {budget} exceeded: Hom(K_{m},K_{n}) "
+                          f"has {cells} cells", found=cells)
     x = build_hom(complete(m), complete(n), budget)
     w = n
     last = n - 1

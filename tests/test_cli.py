@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -245,6 +246,19 @@ def test_negative_budget_exits_2(argv, env):
     assert code == 2
     assert err.startswith("error: ") and "must be >= 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,env", [
+    (("morse", "kmn", "--m", "9", "--n", "12"), {}),   # 14,270,256,000 cells
+    (("morse", "kmn", "--m", "3", "--n", "5"), {"HOMTOPO_BUDGET_CELLS": "100"}),
+])
+def test_kmn_over_budget_exits_3_at_once(argv, env):
+    start = time.perf_counter()
+    code, err = run_cli(*argv, **env)
+    assert code == 3
+    assert err.startswith("error: cell budget") and "Traceback" not in err
+    assert time.perf_counter() - start < 2
+
 
 def test_config_value_type_checked(capsys, tmp_path):
     cfg = tmp_path / "budgets.cfg"

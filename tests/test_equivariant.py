@@ -1,5 +1,6 @@
 """Free involutions, orbit complexes, the connecting map that gives w_1,
-chromatic lower bounds, and the subdivision quotient as their oracle."""
+chromatic lower bounds, and the subdivision quotient as their oracle, itself
+checked against a plain mirror-and-min construction."""
 
 import random
 
@@ -29,6 +30,34 @@ def flip_complex(h):
 def swap_complex(g, m):
     x = build_hom(complete(m), g)
     return x, induced_involution(x, _swap_map(m))
+
+
+# ------------------------------------------- the subdivided quotient oracle
+
+def mirror_min_quotient(x, a):
+    """(simplices, chain_data) of X/a built the plain way: every chain of the
+    face poset and its mirror, keep the smaller; each face is mirrored and
+    the smaller taken again."""
+    perm = a.perm
+
+    def canon(t):
+        return min(t, tuple(perm[c] for c in t))
+
+    simplices = sorted({canon(t) for t in face_poset(x).chains()},
+                       key=lambda t: (len(t), t))
+    index = {t: i for i, t in enumerate(simplices)}
+    dims = [len(t) - 1 for t in simplices]
+    facets = [sorted(index[canon(t[:d] + t[d + 1:])] for d in range(len(t)))
+              if len(t) > 1 else [] for t in simplices]
+    return simplices, (dims, facets)
+
+
+def assert_quotient_matches_oracle(x, a):
+    q = quotient(x, a)
+    simplices, chain = mirror_min_quotient(x, a)
+    assert q.simplices == simplices
+    assert q.chain_data() == chain
+    return q
 
 
 # ------------------------------------------------- the subdivision oracle
@@ -106,7 +135,8 @@ def assert_matches_oracle(g, m):
         want = Subdivided(x, a, seed).height()
         assert sw_height(x, a, rep_seed=seed) == want
     assert coloring_bound(g, m) == want + m
-    assert betti_gf2(orbit_complex(x, a)).betti == betti_gf2(quotient(x, a)).betti
+    q = assert_quotient_matches_oracle(x, a)
+    assert betti_gf2(orbit_complex(x, a)).betti == betti_gf2(q).betti
 
 
 def test_induced_involution():
@@ -132,6 +162,21 @@ def test_fixed_cell_detected():
         orbit_complex(x, a)
     with pytest.raises(DomainError):
         sw_height(x, a)
+
+
+QUOTIENT_CASES = {
+    **{f"K2->K{n}": (complete(2), complete(n), FLIP) for n in range(2, 7)},
+    **{f"K2->C{n}": (complete(2), cycle(n), FLIP) for n in range(4, 8)},
+    "K2->petersen": (complete(2), petersen(), FLIP),
+    "K3->K4": (complete(3), complete(4), (1, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("g,h,gamma", QUOTIENT_CASES.values(),
+                         ids=QUOTIENT_CASES.keys())
+def test_quotient_matches_mirror_min(g, h, gamma):
+    x = build_hom(g, h)
+    assert_quotient_matches_oracle(x, induced_involution(x, gamma))
 
 
 def test_quotient_counts():

@@ -10,9 +10,10 @@ from homtopo import formulas
 from homtopo.errors import ConsistencyError, DomainError, ResourceError
 from homtopo.formulas import (FORMULA_N_MAX, MN_MAX, TABLE_N_MAX,
                               MnFaceLabel, chi_hom, cycle_components,
-                              f_table, f_wedge, mn_face_poset, mn_faces,
-                              mn_symmetry, rho_cell, rho_isomorphism_check,
-                              stirling2, verify_generating_identity)
+                              f_table, f_wedge, kmn_cells, mn_face_poset,
+                              mn_faces, mn_symmetry, rho_cell,
+                              rho_isomorphism_check, stirling2,
+                              verify_generating_identity)
 from homtopo.graphs import complete, cycle
 from homtopo.homcx import build_hom
 from homtopo.topology import betti_gf2, connected_components
@@ -72,6 +73,15 @@ def test_chi_matches_complex(m, n):
         == chi_hom(m, n)
 
 
+def test_kmn_cells_counts_the_complex():
+    for m in range(1, 5):
+        for n in range(1, 7):
+            assert kmn_cells(m, n) == len(build_hom(complete(m), complete(n)))
+    assert kmn_cells(9, 12) == 14_270_256_000
+    with pytest.raises(DomainError):
+        kmn_cells(0, 3)
+
+
 def test_generating_identity():
     assert all(verify_generating_identity(m, 20) for m in range(1, 9))
     with pytest.raises(DomainError):
@@ -100,6 +110,7 @@ def test_size_caps():
     for call in (lambda: f_wedge(3, n), lambda: chi_hom(3, n),
                  lambda: stirling2(n, 3),
                  lambda: verify_generating_identity(3, n),
+                 lambda: kmn_cells(3, n),
                  lambda: f_table(3, TABLE_N_MAX + 1)):
         with pytest.raises(ResourceError):
             call()
@@ -196,6 +207,9 @@ def test_f_table():
     rows = f_table(3, 4)
     assert {(r["m"], r["n"]) for r in rows} == \
         {(m, n) for m in (1, 2, 3) for n in range(m, 5)}
+    rows = f_table(14, 24)
+    assert [(r["m"], r["n"]) for r in rows] == \
+        [(m, n) for m in range(1, 15) for n in range(m, 25)]
     for r in rows:
         assert r["f"] == f_wedge(r["m"], r["n"])
         assert r["chi"] == chi_hom(r["m"], r["n"])
@@ -215,6 +229,31 @@ def test_method_disagreement_raises(monkeypatch, fresh_chi):
         f_wedge(3, 5)
     with pytest.raises(ConsistencyError):
         chi_hom(3, 5)
+
+
+def test_table_method_disagreement_raises(monkeypatch):
+    closed = formulas._f_closed_values
+
+    def off_by_one(m, n):
+        for v in closed(m, n):
+            yield v + (m == 3 and n == 5)
+            n += 1
+
+    monkeypatch.setattr(formulas, "_f_closed_values", off_by_one)
+    assert f_table(2, 8)
+    with pytest.raises(ConsistencyError, match=r"f\(3,5\)"):
+        f_table(3, 8)
+
+
+def test_table_chi_identity_raises(monkeypatch):
+    # all three f streams agree on a wrong value: only the chi identity sees it
+    def shifted(real):
+        return lambda *a: (v + 1 for v in real(*a))
+
+    for name in ("_f_rec_values", "_f_closed_values", "_f_stirling_values"):
+        monkeypatch.setattr(formulas, name, shifted(getattr(formulas, name)))
+    with pytest.raises(ConsistencyError, match=r"chi\(1,1\)"):
+        f_table(3, 5)
 
 
 def test_chi_identity_raises(monkeypatch, fresh_chi):

@@ -3,7 +3,8 @@ conditions for poset maps."""
 
 import pytest
 
-from homtopo.errors import DomainError
+from homtopo import morse
+from homtopo.errors import BudgetError, DomainError
 from homtopo.graphs import complete, cycle, petersen
 from homtopo.homcx import build_hom
 from homtopo.morse import (PartialMatching, PosetMap, Witness,
@@ -68,6 +69,25 @@ def test_kmn_subcomplex_shape():
         assert all(not cell[j] >> last & 1 for j in range(1, 3))
     assert betti_gf2(a1).betti == betti_gf2(build_hom(complete(2),
                                                       complete(3))).betti
+
+
+def test_kmn_budget_checked_before_enumerating(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("build_hom called past the budget")
+
+    monkeypatch.setattr(morse, "build_hom", no_build)
+    with pytest.raises(BudgetError) as err:
+        kmn_matching(9, 12)
+    assert err.value.found == 14_270_256_000
+    with pytest.raises(BudgetError) as err:
+        kmn_matching(3, 5, budget=389)
+    assert err.value.found == 390
+    monkeypatch.setenv("HOMTOPO_BUDGET_CELLS", "100")
+    with pytest.raises(BudgetError):
+        kmn_matching(3, 5)
+    monkeypatch.undo()
+    pm, _ = kmn_matching(3, 5, budget=390)  # exactly the cell count
+    assert is_acyclic(pm)
 
 
 def test_kmn_domain():
