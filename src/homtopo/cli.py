@@ -81,9 +81,13 @@ def cmd_reduce_core(args) -> int:
     policy = None
     if args.policy != "smallest":
         kind, _, seed = args.policy.partition(":")
-        if kind != "random" or not seed.lstrip("-").isdigit():
-            raise DomainError("policy must be 'smallest' or 'random:SEED'")
-        policy = random_policy(int(seed))
+        try:
+            if kind != "random":
+                raise ValueError(kind)
+            policy = random_policy(int(seed))
+        except ValueError:
+            raise DomainError(
+                "policy must be 'smallest' or 'random:SEED'") from None
     core, trace = irreducible_core(g, policy)
     obj = {"graph": args.graph, "core": to_json_obj(core),
            "trace": trace.to_json_obj()}

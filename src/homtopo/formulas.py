@@ -137,19 +137,17 @@ def _check_chi(m: int, n: int, chi: int, f: int) -> None:
             f"chi({m},{n}) = {chi} != 1 + (-1)^(m-n) f({m},{n})")
 
 
-def f_wedge(m: int, n: int, method: str = "closed") -> int:
+def f_wedge(m: int, n: int) -> int:
     """Sphere count of the wedge Hom(K_m,K_n); 0 when m > n."""
     if m < 1 or n < 1:
         raise DomainError("f(m,n) needs m, n >= 1")
-    if method not in ("recurrence", "closed", "stirling"):
-        raise DomainError(f"unknown method {method!r}")
     _check_size(n)
     if m > n:
         return 0
     vals = {"recurrence": _f_rec(m, n), "closed": _f_closed(m, n),
             "stirling": _f_stirling(m, n)}
     _check_f(m, n, vals)
-    return vals[method]
+    return vals["closed"]
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +164,12 @@ def chi_hom(m: int, n: int) -> int:
 def kmn_cells(m: int, n: int) -> int:
     """Number of cells of Hom(K_m,K_n): maps from the n target vertices
     to {unused, 1..m} that hit every source vertex,
-    sum over i = 0..m of (-1)^i C(m,i) (m+1-i)^n."""
+    sum over i = 0..m of (-1)^i C(m,i) (m+1-i)^n; 0 when m > n."""
     if m < 1 or n < 0:
         raise DomainError("cell count needs m >= 1 and n >= 0")
     _check_size(n)
+    if m > n:
+        return 0
     return sum(_sign(i) * comb(m, i) * (m + 1 - i) ** n for i in range(m + 1))
 
 

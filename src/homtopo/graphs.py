@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import BudgetError, DomainError, ResourceError
 
@@ -27,14 +28,20 @@ def bits(mask: int):
         mask ^= low
 
 
+def check_order(n: int) -> None:
+    """Refuse a vertex count outside 0..MAX_VERTICES; builders call this
+    before they allocate a row."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise DomainError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise DomainError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        check_order(self.n)
         if len(self.adj) != self.n:
             raise DomainError("adjacency row count != vertex count")
         full = (1 << self.n) - 1
@@ -72,6 +79,7 @@ class Graph:
 
 
 def from_edges(n: int, edges) -> Graph:
+    check_order(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -84,6 +92,7 @@ def from_edges(n: int, edges) -> Graph:
 # ---------------------------------------------------------------- families
 
 def complete(n: int, looped: bool = False) -> Graph:
+    check_order(n)
     full = (1 << n) - 1
     if looped:
         return Graph(n, tuple(full for _ in range(n)))
@@ -93,13 +102,13 @@ def complete(n: int, looped: bool = False) -> Graph:
 def cycle(m: int) -> Graph:
     if m < 3:
         raise DomainError(f"cycle needs >= 3 vertices, got {m}")
-    return from_edges(m, [(v, (v + 1) % m) for v in range(m)])
+    return from_edges(m, ((v, (v + 1) % m) for v in range(m)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise DomainError(f"path needs >= 1 vertex, got {n}")
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def q_graph() -> Graph:
@@ -111,10 +120,11 @@ def kneser(k: int, n: int) -> Graph:
     """k-subsets of an n-set, adjacent when disjoint; vertices in lex order."""
     if not (1 <= k and 2 * k <= n):
         raise DomainError(f"kneser needs 1 <= k <= n/2, got k={k}, n={n}")
-    subsets = [sum(1 << i for i in c) for c in combinations(range(n), k)]
-    m = len(subsets)
+    # C(n, k) >= n here, so a large n needs no binomial
+    m = comb(n, k) if n <= MAX_VERTICES else n
     if m > MAX_VERTICES:
-        raise DomainError(f"kneser({k},{n}) has {m} > {MAX_VERTICES} vertices")
+        raise DomainError(f"kneser({k},{n}) has over {MAX_VERTICES} vertices")
+    subsets = [sum(1 << i for i in c) for c in combinations(range(n), k)]
     adj = [0] * m
     for a in range(m):
         for b in range(a + 1, m):
@@ -336,61 +346,75 @@ def max_independent_set(g: Graph) -> int:
 
 # ------------------------------------------------------------ isomorphism
 
-def _refine(g: Graph) -> list[int]:
-    # iterated neighbor-color multiset refinement
-    col = [(g.degree(v), g.has_loop(v)) for v in range(g.n)]
-    ids = {c: i for i, c in enumerate(sorted(set(col)))}
-    col = [ids[c] for c in col]
-    for _ in range(g.n):
-        sig = [(col[v], tuple(sorted(col[w] for w in bits(g.adj[v]))))
-               for v in range(g.n)]
-        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ids[s] for s in sig]
-        if new == col:
+def match_arcs(out_p, out_q, colour_p, colour_q) -> list[int] | None:
+    """A bijection f with u -> v an arc of p iff f[u] -> f[v] is one of q.
+
+    Each side is a list of out-arc bitmask rows (a loop is an arc v -> v)
+    and a starting colour per vertex, which f keeps; None when there is no
+    such f.  Both sides are refined together by (colour, out-neighbour
+    colours, in-neighbour colours) under shared colour names (Weisfeiler &
+    Leman, 1968).  Then the rarest colour class is placed first, and each
+    candidate is checked against its own loop and against every placed
+    vertex in both arc directions, so a full placement is an isomorphism.
+    """
+    n = len(out_p)
+    if len(out_q) != n:
+        return None
+    # each side's out- and in-neighbour lists, and its in-arc rows
+    nbrs, in_p, in_q = [], [0] * n, [0] * n
+    for out, inn in ((out_p, in_p), (out_q, in_q)):
+        succ, pred = [list(bits(row)) for row in out], [[] for _ in out]
+        for u, vs in enumerate(succ):
+            for v in vs:
+                pred[v].append(u)
+                inn[v] |= 1 << u
+        nbrs.append((succ, pred))
+    cp, cq = list(colour_p), list(colour_q)
+    while True:
+        sp, sq = ([(c[v], tuple(sorted([c[w] for w in succ[v]])),
+                    tuple(sorted([c[w] for w in pred[v]])))
+                   for v in range(n)]
+                  for c, (succ, pred) in zip((cp, cq), nbrs))
+        if sorted(sp) != sorted(sq):
+            return None
+        # each signature holds the old colour, so the new classes split
+        # the old ones; as many classes as before means nothing split
+        names = {s: i for i, s in enumerate(sorted(set(sp)))}
+        if len(names) == len(set(cp)):
             break
-        col = new
-    return col
+        cp, cq = [names[s] for s in sp], [names[s] for s in sq]
+    classes: dict = {}
+    for w in range(n):
+        classes.setdefault(cq[w], []).append(w)
+    order = sorted(range(n), key=lambda v: (len(classes[cp[v]]), cp[v], v))
+    f = [-1] * n
+
+    def place(t: int, placed: int, used: int) -> bool:
+        if t == n:
+            return True
+        v = order[t]
+        # images of v's arcs to and from the placed vertices
+        out_image = sum(1 << f[u] for u in bits(out_p[v] & placed))
+        in_image = sum(1 << f[u] for u in bits(in_p[v] & placed))
+        for w in classes[cp[v]]:
+            if (used >> w & 1 or out_q[w] >> w & 1 != out_p[v] >> v & 1
+                    or out_q[w] & used != out_image
+                    or in_q[w] & used != in_image):
+                continue
+            f[v] = w
+            if place(t + 1, placed | 1 << v, used | 1 << w):
+                return True
+        return False
+
+    return f if place(0, 0, 0) else None
 
 
 def find_isomorphism(g: Graph, h: Graph):
     """A vertex bijection g -> h preserving adjacency, or None."""
     if g.n > ISO_CAP or h.n > ISO_CAP:
         raise ResourceError(f"isomorphism search capped at {ISO_CAP} vertices")
-    if g.n != h.n or g.num_edges() != h.num_edges():
-        return None
-    cg, ch = _refine(g), _refine(h)
-    if sorted(cg) != sorted(ch):
-        return None
-    # match rarest color classes first
-    sizes = {c: cg.count(c) for c in set(cg)}
-    order = sorted(range(g.n), key=lambda v: (sizes[cg[v]], cg[v], v))
-    f = [-1] * g.n
-    used = [False] * h.n
-
-    def go(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or ch[w] != cg[v] or g.has_loop(v) != h.has_loop(w):
-                continue
-            ok = True
-            for u in order[:i]:
-                gu = bool(g.adj[v] >> u & 1)
-                hu = bool(h.adj[w] >> f[u] & 1)
-                if gu != hu:
-                    ok = False
-                    break
-            if ok:
-                f[v] = w
-                used[w] = True
-                if go(i + 1):
-                    return True
-                f[v] = -1
-                used[w] = False
-        return False
-
-    return tuple(f) if go(0) else None
+    f = match_arcs(g.adj, h.adj, [0] * g.n, [0] * h.n)
+    return None if f is None else tuple(f)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

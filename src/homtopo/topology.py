@@ -19,7 +19,7 @@ from functools import cached_property
 
 from ._kernels import gf2_rank
 from .errors import ConsistencyError, DomainError, ResourceError
-from .graphs import bits, disjoint_union
+from .graphs import bits, disjoint_union, match_arcs
 
 MATRIX_BIT_CAP = 1 << 30
 
@@ -355,100 +355,39 @@ def betti_gf2(c) -> BettiProfile:
 
 
 def is_flag(s: SimplicialComplex) -> bool:
-    """True iff every pairwise-adjacent vertex set of the 1-skeleton spans."""
-    verts = [m for m in s.simplices if m.bit_count() == 1]
-    adj: dict[int, int] = {(m.bit_length() - 1): 0 for m in verts}
+    """True iff every pairwise-adjacent vertex set of the 1-skeleton spans.
+
+    A clique minus its top vertex is a clique, so by induction on size it
+    is enough that each simplex extends by every vertex above its top that
+    is adjacent to all of it.
+    """
+    adj: dict[int, int] = {}
     for m in s.simplices:
         if m.bit_count() == 2:
-            u, v = tuple(bits(m))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-
-    def grow(mask: int, cand: int) -> bool:
-        for v in bits(cand):
-            bigger = mask | (1 << v)
-            if bigger not in s._index:
-                return False
-            hi = ~((1 << (v + 1)) - 1)
-            if not grow(bigger, cand & adj[v] & hi):
-                return False
-        return True
-
+            u, v = bits(m)
+            adj[u] = adj.get(u, 0) | 1 << v
+            adj[v] = adj.get(v, 0) | 1 << u
     for m in s.simplices:
-        if m.bit_count() == 2:
-            u, v = tuple(bits(m))
-            hi = ~((1 << (v + 1)) - 1)
-            if not grow(m, adj[u] & adj[v] & hi):
-                return False
+        ext = -1 << m.bit_length()  # the vertices above the top of m
+        for v in bits(m):
+            ext &= adj.get(v, 0)
+        if any(m | 1 << w not in s for w in bits(ext)):
+            return False
     return True
 
 
 POSET_ISO_CAP = 512
 
 
-def find_poset_isomorphism(p: Poset, q: Poset,
-                           cap: int = POSET_ISO_CAP) -> list[int] | None:
-    """Search for an order isomorphism p -> q; element list or None."""
-    m = len(p)
-    if m != len(q):
+def find_poset_isomorphism(p: Poset, q: Poset) -> list[int] | None:
+    """Search for an order isomorphism p -> q keeping grades; list or None."""
+    if len(p) != len(q):
         return None
-    if m > cap:
-        raise ResourceError(f"poset isomorphism search capped at {cap} elements")
-    ups = ([[] for _ in range(m)], [[] for _ in range(m)])
-    downs = (p.covers, q.covers)
-    for side, ps in enumerate((p, q)):
-        for i, cov in enumerate(ps.covers):
-            for j in cov:
-                ups[side][j].append(i)
-
-    # iterated Hasse-neighbourhood refinement, shared across both posets
-    cols = ([(g,) for g in p.grades], [(g,) for g in q.grades])
-    for _ in range(m):
-        fresh = []
-        for side in (0, 1):
-            c = cols[side]
-            fresh.append([(c[i], tuple(sorted(c[j] for j in downs[side][i])),
-                           tuple(sorted(c[j] for j in ups[side][i])))
-                          for i in range(m)])
-        if sorted(fresh[0]) != sorted(fresh[1]):
-            return None
-        names = {v: t for t, v in enumerate(sorted(set(fresh[0])))}
-        nxt = ([(names[v],) for v in fresh[0]], [(names[v],) for v in fresh[1]])
-        if nxt[0] == cols[0] and nxt[1] == cols[1]:
-            break
-        cols = nxt
-
-    classes: dict[tuple, list[int]] = {}
-    for j in range(m):
-        classes.setdefault(cols[1][j], []).append(j)
-    order = sorted(range(m), key=lambda i: len(classes[cols[0][i]]))
-    phi = [-1] * m
-    used = [False] * m
-
-    def place(t: int) -> bool:
-        if t == m:
-            return True
-        i = order[t]
-        for j in classes[cols[0][i]]:
-            if used[j]:
-                continue
-            ok = all(phi[k] < 0 or phi[k] in downs[1][j] for k in downs[0][i])
-            ok = ok and all(phi[k] < 0 or j in downs[1][phi[k]]
-                            for k in ups[0][i])
-            if ok:
-                phi[i], used[j] = j, True
-                if place(t + 1):
-                    return True
-                phi[i], used[j] = -1, False
-        return False
-
-    if not place(0):
-        return None
-    # every cover edge must be matched exactly (degrees agree per class)
-    for i in range(m):
-        if sorted(phi[j] for j in downs[0][i]) != downs[1][phi[i]]:
-            return None
-    return phi
+    if len(p) > POSET_ISO_CAP:
+        raise ResourceError(
+            f"poset isomorphism search capped at {POSET_ISO_CAP} elements")
+    covers = ([sum(1 << j for j in c) for c in x.covers] for x in (p, q))
+    return match_arcs(*covers, p.grades, q.grades)
 
 
 def product_fvector_check(g, h, k) -> bool:

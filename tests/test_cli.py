@@ -225,6 +225,8 @@ BAD_FILES = {
     (("verify", "fast", "--only", "exclusions",
       "--json", "{tmp}/missing/x.json"), {}),
     (("formulas", "gen", "--m", "2", "--upto", "-1"), {}),
+    (("reduce", "core", "--graph", "L5", "--policy", "random:--5"), {}),
+    (("reduce", "core", "--graph", "L5", "--policy", "random:\u00b2"), {}),
 ])
 def test_bad_outside_input_exits_2(argv, env, tmp_path):
     for name, data in BAD_FILES.items():
@@ -257,6 +259,15 @@ def test_kmn_over_budget_exits_3_at_once(argv, env):
     code, err = run_cli(*argv, **env)
     assert code == 3
     assert err.startswith("error: cell budget") and "Traceback" not in err
+    assert time.perf_counter() - start < 2
+
+
+def test_vertex_cap_exits_2_at_once():
+    # two million vertices are refused before a single row is built
+    start = time.perf_counter()
+    code, err = run_cli("hom", "--source", "C2000000", "--target", "K3")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
     assert time.perf_counter() - start < 2
 
 

@@ -2,8 +2,11 @@
 the functions they check."""
 
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homtopo.errors import BudgetError, DomainError
 from homtopo.graphs import (Graph, are_isomorphic, bits, chromatic_number,
@@ -46,6 +49,17 @@ def brute_chromatic(g):
     return 0
 
 
+def brute_isomorphism(g, h):
+    """Oracle: the first vertex permutation carrying edges and non-edges."""
+    if g.n != h.n:
+        return None
+    for f in itertools.permutations(range(h.n)):
+        if all(g.adj[u] >> v & 1 == h.adj[f[u]] >> f[v] & 1
+               for u in range(g.n) for v in range(g.n)):
+            return f
+    return None
+
+
 def small_graphs(n):
     """Every loopless graph on n labeled vertices."""
     slots = list(itertools.combinations(range(n), 2))
@@ -64,6 +78,22 @@ def test_graph_validation():
         Graph(2, (0,))          # row count mismatch
     with pytest.raises(DomainError):
         from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("spec", ["K20000", "C20000", "L20000", "Kneser:2,700",
+                                  '{"n": 5000000, "edges": []}'])
+def test_vertex_cap_checked_before_allocating(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            if spec.startswith("{"):
+                from_json(spec)
+            else:
+                parse_graph_name(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_families():
@@ -184,6 +214,33 @@ def test_isomorphism():
     assert not are_isomorphic(cycle(6), disjoint_union(cycle(3), cycle(3)))
     assert not are_isomorphic(complete(3), Graph(3, (0, 0, 0)))
     assert are_isomorphic(Graph(0, ()), Graph(0, ()))
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph with loops on up to 6 vertices and, relabelled, either a copy
+    of it or another graph on as many vertices."""
+    n = draw(st.integers(0, 6))
+    slots = [(u, v) for u in range(n) for v in range(u, n)]
+    edges = [e for e in slots if draw(st.booleans())]
+    g = from_edges(n, edges)
+    if not draw(st.booleans()):
+        edges = [e for e in slots if draw(st.booleans())]
+    perm = draw(st.permutations(range(n)))
+    return g, from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(graph_pairs())
+def test_isomorphism_matches_brute_force(pair):
+    g, h = pair
+    f = find_isomorphism(g, h)
+    assert (f is None) == (brute_isomorphism(g, h) is None)
+    if f is not None:
+        assert sorted(f) == list(range(h.n))
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.adj[u] >> v & 1 == h.adj[f[u]] >> f[v] & 1
 
 
 def test_validate_involution():

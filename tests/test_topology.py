@@ -1,6 +1,8 @@
 """Chain-data consumers: GF(2) homology against known spaces, posets, and
 the poset-isomorphism search."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,10 +184,11 @@ def test_chains_oracle():
 
 
 @st.composite
-def posets(draw):
-    """Up to 7 elements in grades 0..3, each covering a random lower set."""
-    n = draw(st.integers(0, 7))
-    grades = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+def posets(draw, max_n=7, top=3):
+    """Up to max_n elements in grades 0..top, each covering a random lower
+    set."""
+    n = draw(st.integers(0, max_n))
+    grades = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     covers = [[j for j in range(n) if grades[j] < grades[i]
                and draw(st.booleans())] for i in range(n)]
     return Poset(grades, covers)
@@ -219,7 +222,75 @@ def test_is_flag():
     assert is_flag(c5)  # no triangle to miss
     hollow = sphere(1)  # empty triangle: 1-skeleton is K_3
     assert not is_flag(hollow)
+    assert not is_flag(sphere(2))  # every triangle of K_4, no tetrahedron
     assert is_flag(simplex(3))
+
+
+@st.composite
+def clique_tests(draw):
+    """A complex on up to 7 vertices from random faces, or the clique
+    complex of its 1-skeleton (flag), or that less one largest clique."""
+    n = draw(st.integers(1, 7))
+    s = SimplicialComplex(n, draw(st.lists(st.integers(1, (1 << n) - 1),
+                                           max_size=10)))
+    how = draw(st.sampled_from(["faces", "flag", "flag less one"]))
+    if how != "faces":
+        cliques = brute_cliques(s)
+        if how == "flag less one" and cliques:
+            cliques.remove(max(cliques, key=int.bit_count))
+        s = SimplicialComplex(n, cliques)
+    return s
+
+
+def brute_cliques(s):
+    """Oracle: every vertex set of s whose pairs all span edges of s."""
+    verts = [m.bit_length() - 1 for m in s.simplices if m.bit_count() == 1]
+    return [sum(1 << v for v in c)
+            for k in range(1, len(verts) + 1)
+            for c in itertools.combinations(verts, k)
+            if all(1 << u | 1 << v in s for u, v in itertools.combinations(c, 2))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(clique_tests())
+def test_is_flag_matches_clique_oracle(s):
+    assert is_flag(s) == all(c in s for c in brute_cliques(s))
+
+
+@st.composite
+def poset_pairs(draw):
+    """A graded poset on up to 6 elements and, relabelled, either a copy of
+    it or another poset with the same grades; few grades give large
+    classes that colour refinement cannot split."""
+    p = draw(posets(6, draw(st.integers(1, 3))))
+    n, grades = len(p), p.grades
+    covers = p.covers
+    if not draw(st.booleans()):
+        covers = [[j for j in range(n) if grades[j] < grades[i]
+                   and draw(st.booleans())] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    inv = sorted(range(n), key=perm.__getitem__)
+    return p, Poset([grades[inv[t]] for t in range(n)],
+                    [[perm[j] for j in covers[inv[t]]] for t in range(n)])
+
+
+def keeps_grades_and_covers(p, q, phi):
+    return all(p.grades[i] == q.grades[phi[i]]
+               and sorted(phi[j] for j in p.covers[i]) == q.covers[phi[i]]
+               for i in range(len(p)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(poset_pairs())
+def test_poset_isomorphism_matches_brute_force(pair):
+    p, q = pair
+    brute = any(keeps_grades_and_covers(p, q, phi)
+                for phi in itertools.permutations(range(len(q))))
+    phi = find_poset_isomorphism(p, q)
+    assert (phi is not None) == brute
+    if phi is not None:
+        assert sorted(phi) == list(range(len(q)))
+        assert keeps_grades_and_covers(p, q, phi)
 
 
 def test_find_poset_isomorphism_positive():
@@ -237,6 +308,13 @@ def test_find_poset_isomorphism_positive():
     assert phi is not None
     for i in range(n):
         assert sorted(phi[j] for j in p.covers[i]) == q.covers[phi[i]]
+    # the two tops are the rarer class, so they are placed before the
+    # elements they cover and only the cover arcs into those elements
+    # tell them apart
+    p = Poset([1, 1, 0, 0, 0, 0], [[2, 3], [4, 5], [], [], [], []])
+    q = Poset([0, 1, 0, 0, 1, 0], [[], [0, 5], [], [], [2, 3], []])
+    phi = find_poset_isomorphism(p, q)
+    assert phi is not None and keeps_grades_and_covers(p, q, phi)
 
 
 def test_find_poset_isomorphism_negative():
@@ -252,6 +330,17 @@ def test_find_poset_isomorphism_negative():
     two_tri = face_poset(SimplicialComplex(
         6, [0b011, 0b110, 0b101, 0b011000, 0b110000, 0b101000]))
     assert find_poset_isomorphism(hexagon, two_tri) is None
+
+    # four tops over six elements covered twice each: K_4 against a 4-cycle
+    # with two opposite edges doubled; refinement sees one colour per grade
+    def incidence(edges):
+        return Poset([0] * 6 + [1] * 4,
+                     [[]] * 6 + [[e for e, ab in enumerate(edges) if t in ab]
+                                 for t in range(4)])
+
+    k4 = incidence([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    c4 = incidence([(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)])
+    assert find_poset_isomorphism(k4, c4) is None
 
 
 def test_poset_isomorphism_cap():
