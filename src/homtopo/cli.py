@@ -18,7 +18,8 @@ from .errors import BudgetError, DomainError, ResourceError
 from .folds import irreducible_core, random_policy
 from .formulas import (MN_MAX, chi_hom, cycle_components, f_table, f_wedge,
                        mn_faces, verify_generating_identity)
-from .graphs import Graph, load_graph, parse_graph_name, to_json_obj
+from .graphs import (GRAPH_NAME_RE, Graph, load_graph, parse_graph_name,
+                     to_json_obj)
 from .homcx import build_hom
 from .morse import is_acyclic, kmn_matching
 from .topology import betti_gf2, connected_components, f_vector
@@ -26,16 +27,21 @@ from .verify import CHECKS, run_checks
 
 
 def resolve_graph(spec: str) -> Graph:
-    """Corpus name, then compact family name, then a JSON/edge-list path."""
+    """Corpus name, then compact family name, then a JSON/edge-list path.
+
+    A well-formed family name that the parser refuses (C2000000, K100) and
+    that names no file keeps the parser's message."""
     corpus = named_corpus()
     if spec in corpus:
         return corpus[spec]
     try:
         return parse_graph_name(spec)
-    except DomainError:
-        pass
+    except DomainError as e:
+        refused = e
     if os.path.exists(spec):
         return load_graph(spec)
+    if GRAPH_NAME_RE.match(spec):
+        raise refused
     raise DomainError(f"cannot resolve graph spec {spec!r}: "
                       "not a corpus name, family name, or readable file")
 

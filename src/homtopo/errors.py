@@ -12,8 +12,10 @@ class DomainError(HomtopoError):
 class BudgetError(HomtopoError):
     """A size or work budget was exceeded.
 
-    `found` carries the partial count (cells, candidates, ...) reached
-    before the run was abandoned, when that is meaningful.
+    `found` is the exact total (cells, candidates, ...) where it was counted
+    before any work, as build_hom does for a loopless complete target and
+    kmn_matching for Hom(K_m,K_n); otherwise it is the count at which
+    enumeration stopped, when that is meaningful.
     """
 
     def __init__(self, message: str, found: int | None = None):

@@ -156,7 +156,8 @@ def make_family(kind: str, *params: int) -> Graph:
         raise DomainError(f"family {kind} got parameters {params}") from None
 
 
-_NAME_RE = re.compile(r"^(K)(\d+)(o?)$|^(C|L)(\d+)$|^Kneser:(\d+),(\d+)$")
+GRAPH_NAME_RE = re.compile(
+    r"^(K)(\d+)(o?)$|^(C|L)(\d+)$|^Kneser:(\d+),(\d+)$")
 
 
 def parse_graph_name(name: str) -> Graph:
@@ -165,7 +166,7 @@ def parse_graph_name(name: str) -> Graph:
         return q_graph()
     if name.lower() == "petersen":
         return petersen()
-    m = _NAME_RE.match(name)
+    m = GRAPH_NAME_RE.match(name)
     if not m:
         raise DomainError(f"cannot parse graph name {name!r}")
     if m.group(1):

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from ._kernels import enumerate_hom_cells
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, ConsistencyError, DomainError
 from .graphs import Graph, bits, common_neighbors, is_homomorphism
 from .topology import SimplicialComplex, merge_classes
 
@@ -177,12 +177,67 @@ def cell_budget(budget: int | None = None) -> int:
     return budget
 
 
+def _complete_target_cells(adj, n: int) -> int:
+    """Cells of Hom(G,K_n), K_n loopless, without enumerating them.
+
+    A cell is an n-tuple of independent sets of G that covers V(G)
+    (I_c = {x : c in eta(x)}), so by inclusion-exclusion over the covered
+    set S it is sum_S (-1)^|V-S| i(G[S])^n, where i counts independent sets,
+    the empty one included (Babson & Kozlov 2006).  ind[S] is filled one
+    vertex at a time: i(S+v) = i(S) + i(S - N(v)); a looped v adds nothing.
+    """
+    ind = [1]
+    for v, row in enumerate(adj):
+        if row >> v & 1:
+            ind += ind
+        else:
+            ind += [i + ind[s & ~row] for s, i in enumerate(ind)]
+    full = len(ind) - 1
+    return sum(-i ** n if (full ^ s).bit_count() & 1 else i ** n
+               for s, i in enumerate(ind))
+
+
+def _matching_bound(adj, n: int) -> int:
+    """An upper bound on the cells of Hom(G,K_n): each edge of a greedy
+    matching takes two disjoint nonempty masks, each other vertex any one."""
+    free = (1 << len(adj)) - 1
+    pairs = 0
+    for v, row in enumerate(adj):
+        if free >> v & 1:
+            w = row & free & ~(1 << v)
+            if w:
+                free ^= 1 << v | w & -w
+                pairs += 1
+    return ((3 ** n - 2 ** (n + 1) + 1) ** pairs
+            * (2 ** n - 1) ** (len(adj) - 2 * pairs))
+
+
 def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
     """Enumerate all of Hom(g,h); `budget` caps the cell count (see
-    cell_budget)."""
+    cell_budget).
+
+    When h is a loopless complete graph and the matching bound exceeds the
+    budget, the cells are counted first (at most 2^|V(g)| <= budget steps):
+    an over-budget complex is refused with the exact count as `found`, and
+    an enumeration that misses the count raises ConsistencyError.
+    """
     if g.n < 1:
         raise DomainError("source graph needs at least one vertex")
-    keys = enumerate_hom_cells(g.adj, h.adj, cell_budget(budget))
+    budget = cell_budget(budget)
+    count = None
+    full = (1 << h.n) - 1
+    if (1 << g.n <= budget and _matching_bound(g.adj, h.n) > budget
+            and all(row == full ^ 1 << v for v, row in enumerate(h.adj))):
+        count = _complete_target_cells(g.adj, h.n)
+        if count > budget:
+            raise BudgetError(f"cell budget {budget} exceeded: "
+                              f"Hom(G,K_{h.n}) has {count} cells", found=count)
+        if count == 0:
+            return HomComplex(g, h, [])
+    keys = enumerate_hom_cells(g.adj, h.adj, budget)
+    if count is not None and len(keys) != count:
+        raise ConsistencyError(f"enumerated {len(keys)} cells of "
+                               f"Hom(G,K_{h.n}), counted {count}")
     return HomComplex(g, h, keys)
 
 

@@ -38,6 +38,18 @@ def test_resolve_graph(tmp_path):
         resolve_graph("no-such-graph")
 
 
+def test_family_name_over_the_cap_keeps_its_message(tmp_path, monkeypatch):
+    for spec in ("C2000000", "K100"):
+        with pytest.raises(DomainError, match="vertex count .* outside"):
+            resolve_graph(spec)
+    with pytest.raises(DomainError, match="cycle needs"):
+        resolve_graph("C2")
+    # a file of that name still wins over the refused family name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "K100").write_text('{"n": 2, "edges": [[0, 1]]}')
+    assert resolve_graph("K100") == complete(2)
+
+
 def test_hom_reports(capsys):
     code, obj = run_json(capsys, "hom", "--source", "K2", "--target", "K4",
                          "--betti")
@@ -267,8 +279,17 @@ def test_vertex_cap_exits_2_at_once():
     start = time.perf_counter()
     code, err = run_cli("hom", "--source", "C2000000", "--target", "K3")
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: vertex count 2000000 outside")
+    assert "Traceback" not in err
     assert time.perf_counter() - start < 2
+
+
+def test_hom_over_budget_names_the_exact_count():
+    code, err = run_cli("hom", "--source", "C5", "--target", "K5",
+                        "--budget", "100")
+    assert code == 3
+    assert err.startswith("error: cell budget 100 exceeded")
+    assert "has 45540 cells" in err and "Traceback" not in err
 
 
 def test_config_value_type_checked(capsys, tmp_path):

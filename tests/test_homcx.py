@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from homtopo.errors import BudgetError, DomainError
+from homtopo import homcx
+from homtopo._kernels import pure
+from homtopo.errors import BudgetError, ConsistencyError, DomainError
+from homtopo.formulas import kmn_cells
 from homtopo.graphs import (Graph, bits, complete, cycle, disjoint_union,
                             from_edges, path, petersen, q_graph)
 from homtopo.homcx import (GraphMap, HomComplex, NonCubical, build_hom,
@@ -281,3 +284,78 @@ def test_face_data_property(g, h, rnd):
     shuffled = list(x.keys)
     rnd.shuffle(shuffled)
     assert HomComplex(g, h, shuffled).keys == x.keys
+
+
+# ---- the cell count of Hom(G,K_n) taken before enumerating
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_graphs(7), st.integers(1, 5))
+@example(from_edges(2, [(0, 0), (0, 1)]), 3)
+@example(path(7), 1)
+def test_complete_target_count_property(g, n):
+    count = homcx._complete_target_cells(g.adj, n)
+    assert homcx._matching_bound(g.adj, n) >= count
+    cap = 2000
+    if count <= cap:
+        assert len(pure.enumerate_hom_cells(g.adj, complete(n).adj, cap)) \
+            == count
+        assert len(build_hom(g, complete(n), budget=cap)) == count
+    else:
+        with pytest.raises(BudgetError) as e:
+            build_hom(g, complete(n), budget=cap)
+        assert e.value.found == count
+
+
+def test_complete_target_count_is_kmn_cells():
+    for m in range(1, 8):
+        for n in range(1, 8):
+            assert homcx._complete_target_cells(complete(m).adj, n) \
+                == kmn_cells(m, n)
+
+
+def test_matching_bound_values():
+    bound = homcx._matching_bound
+    assert bound(complete(4).adj, 3) == 12 ** 2        # two disjoint pairs
+    assert bound(cycle(5).adj, 3) == 12 ** 2 * 7       # and one free vertex
+    assert bound(from_edges(1, [(0, 0)]).adj, 3) == 7  # a loop is no pair
+
+
+def _must_not_run(*args):
+    raise AssertionError("called where it must not run")
+
+
+def test_over_budget_refused_before_enumerating(monkeypatch):
+    monkeypatch.setattr(homcx, "enumerate_hom_cells", _must_not_run)
+    with pytest.raises(BudgetError, match="has 45540 cells") as e:
+        build_hom(cycle(5), complete(5), budget=100)
+    assert e.value.found == 45540
+    with pytest.raises(BudgetError) as e:
+        build_hom(cycle(5), complete(3), budget=59)
+    assert e.value.found == 60
+    # no cells at all: K4 -> K3 and a looped source vertex
+    for g, h, budget in ((complete(4), complete(3), 100),
+                         (from_edges(2, [(0, 0), (0, 1)]), complete(3), 4)):
+        x = build_hom(g, h, budget=budget)
+        assert len(x) == 0 and x.g == g and x.h == h
+
+
+def test_budget_equal_to_the_count_builds():
+    x = build_hom(cycle(5), complete(3), budget=60)
+    assert len(x) == 60
+
+
+def test_count_only_where_it_can_refuse(monkeypatch):
+    monkeypatch.setattr(homcx, "_complete_target_cells", _must_not_run)
+    assert len(build_hom(path(20), complete(2), budget=10)) == 2  # 2^20 > 10
+    assert len(build_hom(path(3), complete(3))) == 30  # bound <= budget
+    with pytest.raises(BudgetError) as e:  # not K_n: the kernel refuses
+        build_hom(cycle(5), q_graph(), budget=2)
+    assert e.value.found == 3
+
+
+def test_enumeration_that_misses_the_count_is_inconsistent(monkeypatch):
+    real = homcx.enumerate_hom_cells
+    monkeypatch.setattr(homcx, "enumerate_hom_cells",
+                        lambda a, b, budget: real(a, b, budget)[1:])
+    with pytest.raises(ConsistencyError, match="enumerated 59 cells"):
+        build_hom(cycle(5), complete(3), budget=60)
