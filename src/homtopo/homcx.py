@@ -17,6 +17,12 @@ from .graphs import Graph, bits, common_neighbors, is_homomorphism
 from .topology import SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
+# build_hom counts Hom(G,K_n) first only for sources up to this size: the
+# count's table has 2^|V(G)| entries (and no more than the budget), about
+# 30 ms and 1 MB at 16 vertices (2-vCPU Xeon), within a CLI call's start-up
+# time.  At 21 vertices it takes 0.8 s and 70 MB, which a dense source that
+# the enumerator rules out in a millisecond would pay in full.
+COUNT_MAX_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -197,36 +203,22 @@ def _complete_target_cells(adj, n: int) -> int:
                for s, i in enumerate(ind))
 
 
-def _matching_bound(adj, n: int) -> int:
-    """An upper bound on the cells of Hom(G,K_n): each edge of a greedy
-    matching takes two disjoint nonempty masks, each other vertex any one."""
-    free = (1 << len(adj)) - 1
-    pairs = 0
-    for v, row in enumerate(adj):
-        if free >> v & 1:
-            w = row & free & ~(1 << v)
-            if w:
-                free ^= 1 << v | w & -w
-                pairs += 1
-    return ((3 ** n - 2 ** (n + 1) + 1) ** pairs
-            * (2 ** n - 1) ** (len(adj) - 2 * pairs))
-
-
 def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
     """Enumerate all of Hom(g,h); `budget` caps the cell count (see
     cell_budget).
 
-    When h is a loopless complete graph and the matching bound exceeds the
-    budget, the cells are counted first (at most 2^|V(g)| <= budget steps):
-    an over-budget complex is refused with the exact count as `found`, and
-    an enumeration that misses the count raises ConsistencyError.
+    When h is a loopless complete graph, g has at most COUNT_MAX_VERTICES
+    vertices, 2^|V(g)| is within the budget and (2^n - 1)^|V(g)| (any
+    nonempty mask at every vertex) is not, the cells are counted first: an
+    over-budget complex is refused with the exact count as `found`, and an
+    enumeration that misses the count raises ConsistencyError.
     """
     if g.n < 1:
         raise DomainError("source graph needs at least one vertex")
     budget = cell_budget(budget)
     count = None
     full = (1 << h.n) - 1
-    if (1 << g.n <= budget and _matching_bound(g.adj, h.n) > budget
+    if (g.n <= COUNT_MAX_VERTICES and 1 << g.n <= budget < full ** g.n
             and all(row == full ^ 1 << v for v, row in enumerate(h.adj))):
         count = _complete_target_cells(g.adj, h.n)
         if count > budget:

@@ -292,6 +292,15 @@ def test_hom_over_budget_names_the_exact_count():
     assert "has 45540 cells" in err and "Traceback" not in err
 
 
+def test_dense_source_empty_at_once():
+    # no 2^22-entry count table: the enumerator rules K22 -> K3 out after
+    # four vertices
+    start = time.perf_counter()
+    code, err = run_cli("hom", "--source", "K22", "--target", "K3")
+    assert code == 0 and err == ""
+    assert time.perf_counter() - start < 2
+
+
 def test_config_value_type_checked(capsys, tmp_path):
     cfg = tmp_path / "budgets.cfg"
     cfg.write_text("seed = x\n")

@@ -294,7 +294,6 @@ def test_face_data_property(g, h, rnd):
 @example(path(7), 1)
 def test_complete_target_count_property(g, n):
     count = homcx._complete_target_cells(g.adj, n)
-    assert homcx._matching_bound(g.adj, n) >= count
     cap = 2000
     if count <= cap:
         assert len(pure.enumerate_hom_cells(g.adj, complete(n).adj, cap)) \
@@ -311,13 +310,6 @@ def test_complete_target_count_is_kmn_cells():
         for n in range(1, 8):
             assert homcx._complete_target_cells(complete(m).adj, n) \
                 == kmn_cells(m, n)
-
-
-def test_matching_bound_values():
-    bound = homcx._matching_bound
-    assert bound(complete(4).adj, 3) == 12 ** 2        # two disjoint pairs
-    assert bound(cycle(5).adj, 3) == 12 ** 2 * 7       # and one free vertex
-    assert bound(from_edges(1, [(0, 0)]).adj, 3) == 7  # a loop is no pair
 
 
 def _must_not_run(*args):
@@ -339,6 +331,14 @@ def test_over_budget_refused_before_enumerating(monkeypatch):
         assert len(x) == 0 and x.g == g and x.h == h
 
 
+def test_count_reaches_count_max_vertices(monkeypatch):
+    monkeypatch.setattr(homcx, "enumerate_hom_cells", _must_not_run)
+    assert homcx.COUNT_MAX_VERTICES == 16
+    with pytest.raises(BudgetError) as e:
+        build_hom(cycle(16), complete(3), budget=2 ** 16)
+    assert e.value.found == 1336128   # as many as the kernel lists
+
+
 def test_budget_equal_to_the_count_builds():
     x = build_hom(cycle(5), complete(3), budget=60)
     assert len(x) == 60
@@ -346,8 +346,12 @@ def test_budget_equal_to_the_count_builds():
 
 def test_count_only_where_it_can_refuse(monkeypatch):
     monkeypatch.setattr(homcx, "_complete_target_cells", _must_not_run)
-    assert len(build_hom(path(20), complete(2), budget=10)) == 2  # 2^20 > 10
-    assert len(build_hom(path(3), complete(3))) == 30  # bound <= budget
+    # more than COUNT_MAX_VERTICES source vertices: the kernel alone, with no
+    # 2^|V(G)| table, whatever the budget
+    assert len(build_hom(path(17), complete(2), budget=10)) == 2
+    x = build_hom(complete(30), complete(3), budget=2 ** 31)
+    assert len(x) == 0
+    assert len(build_hom(path(3), complete(3))) == 30  # 7^3 <= budget
     with pytest.raises(BudgetError) as e:  # not K_n: the kernel refuses
         build_hom(cycle(5), q_graph(), budget=2)
     assert e.value.found == 3
