@@ -254,35 +254,67 @@ def is_homomorphism(g: Graph, h: Graph, f) -> bool:
 def enumerate_homomorphisms(g: Graph, h: Graph, budget: int = HOM_BUDGET):
     """All graph homomorphisms g -> h as tuples, lexicographically sorted.
 
-    Plain backtracking over single vertices in natural order; `budget` caps
-    the number of extension attempts.
+    Backtracking over single vertices in natural order with forward
+    checking: every vertex keeps a mask of the targets still allowed (a
+    looped vertex starts from h's looped vertices), and placing u at y ANDs
+    h.adj[y] into the masks of u's later neighbours, cutting the branch when
+    one of them empties.  So every candidate tried at the last vertex is a
+    homomorphism.  `budget` caps the candidates tried; BudgetError's
+    `found` is the number listed before the cap.
     """
     if g.n == 0:
         return [()]
-    # earlier[u] = already-assigned neighbors of u (natural order)
-    earlier = [list(bits(g.adj[u] & ((1 << u) - 1))) for u in range(g.n)]
+    full = (1 << h.n) - 1
+    looped = sum(1 << y for y in range(h.n) if h.adj[y] >> y & 1)
+    masks = [looped if g.adj[u] >> u & 1 else full for u in range(g.n)]
+    # later[u] = u's neighbours after it in natural order
+    later = [list(bits(g.adj[u] >> u + 1 << u + 1)) for u in range(g.n)]
+    last = g.n - 1
     out = []
-    f = [0] * g.n
     work = 0
+    # the targets of a mask as 1-tuples, ascending; filled on first use
+    singles: dict[int, list[tuple[int]]] = {}
 
-    def go(u: int):
+    def over():
+        return BudgetError(f"homomorphism budget {budget} exceeded",
+                           found=len(out))
+
+    def go(u: int, pre: tuple):
         nonlocal work
-        for y in range(h.n):
+        m = masks[u]
+        ys = singles.get(m)
+        if ys is None:
+            ys = singles[m] = [(y,) for y in bits(m)]
+        if u == last:
+            room = budget - work
+            work += len(ys)
+            out.extend(map(pre.__add__, ys[:room] if work > budget else ys))
+            if work > budget:
+                raise over()
+            return
+        nbrs = later[u]
+        saved = [masks[w] for w in nbrs]
+        for y in ys:
             work += 1
             if work > budget:
-                raise BudgetError(f"homomorphism budget {budget} exceeded",
-                                  found=len(out))
-            if g.adj[u] >> u & 1 and not h.adj[y] >> y & 1:
-                continue
-            if any(not h.adj[y] >> f[w] & 1 for w in earlier[u]):
-                continue
-            f[u] = y
-            if u + 1 == g.n:
-                out.append(tuple(f))
+                raise over()
+            row = h.adj[y[0]]
+            for w, m in zip(nbrs, saved):
+                m &= row
+                if not m:
+                    break
+                masks[w] = m
             else:
-                go(u + 1)
+                go(u + 1, pre + y)
+            for w, m in zip(nbrs, saved):
+                masks[w] = m
 
-    go(0)
+    try:
+        go(0, ())
+    finally:
+        # go refers to itself, and that cycle would keep `out` alive until
+        # the cyclic collector ran, after the caller has dropped it
+        del go
     return out
 
 

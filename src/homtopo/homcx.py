@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, count
+from operator import lshift
 
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, ConsistencyError, DomainError
-from .graphs import Graph, bits, common_neighbors, is_homomorphism
+from .graphs import (HOM_BUDGET, Graph, bits, common_neighbors,
+                     enumerate_homomorphisms, is_homomorphism)
 from .topology import SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
@@ -362,46 +365,70 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex(g.n, sims)
 
 
-def count_hom_components(g: Graph, h: Graph, budget: int = 10**8) -> int:
+def count_hom_components(g: Graph, h: Graph, budget: int = HOM_BUDGET) -> int:
     """b_0 of Hom(g,h) without building cells.
 
-    0-cells are the homomorphisms; two are joined by an edge of the complex
-    iff they differ at exactly one vertex x of g (the doubled mask is then
-    automatically a 1-cell), so components come from grouping maps, packed
-    one w-bit field per vertex, by their key with x's field cleared.
+    The 0-cells are the homomorphisms, packed one w-bit field per vertex of
+    g.  Maps f, f' that differ only on an independent set I of unlooped
+    vertices are 0-cells of one cell (eta = {f(x), f'(x)} on I, f(x)
+    elsewhere: no edge has both ends in I), so they lie in one component.
+    An edge of the complex joins maps that differ at one vertex x, and when
+    x is looped their two values must be H-adjacent.  So the maps are
+    grouped once per greedy colour class I of g's unlooped vertices, by
+    their key with I's fields cleared; the largest class's groups are the
+    union-find elements, and each other class joins every map's group to
+    the group of its class representative (the last map of its class
+    group).  A looped vertex adds the pairs of groups whose maps differ
+    there by an H-edge.  The maps are packed and dropped before grouping,
+    and one class's pairs are held at a time.
     """
-    from .graphs import enumerate_homomorphisms
-
     homs = enumerate_homomorphisms(g, h, budget)
     w = max(1, (h.n - 1).bit_length())
-    keys = []
-    for f in homs:
-        key = 0
-        for y in f:
-            key = key << w | y
-        keys.append(key)
+    shifts = [(g.n - 1 - x) * w for x in range(g.n)]
+    keys = [sum(map(lshift, f, shifts)) for f in homs]
+    del homs
     field = (1 << w) - 1
-
-    def pairs():
-        for x in range(g.n):
-            sh = (g.n - 1 - x) * w
-            clear = ~(field << sh)
-            if g.adj[x] >> x & 1:
-                # looped source vertex: the two values must also be H-adjacent
-                byval: dict[int, dict[int, int]] = {}
-                for i, key in enumerate(keys):
-                    byval.setdefault(key & clear, {})[key >> sh & field] = i
-                for vals in byval.values():
-                    items = sorted(vals.items())
-                    for a, i in items:
-                        for b, j in items:
-                            if a < b and h.adj[a] >> b & 1:
-                                yield i, j
+    classes: list[int] = []
+    for x in range(g.n):
+        if not g.adj[x] >> x & 1:
+            for i, c in enumerate(classes):
+                if not g.adj[x] & c:
+                    classes[i] = c | 1 << x
+                    break
             else:
-                seen: dict[int, int] = {}
-                for i, key in enumerate(keys):
-                    j = seen.setdefault(key & clear, i)
-                    if j != i:
-                        yield i, j
+                classes.append(1 << x)
+    # the largest class first leaves the fewest union-find elements: the
+    # star K_{1,6} -> K_8 has 8 groups with its leaves cleared, against
+    # one per leaf assignment with its centre cleared.  With no unlooped
+    # vertex every map is its own first-class group.
+    classes.sort(key=int.bit_count, reverse=True)
+    clears = [~sum(field << shifts[x] for x in bits(c))
+              for c in classes or [0]]
+    ids = dict(zip(dict.fromkeys(map(clears[0].__and__, keys)), count()))
+    group = list(map(ids.__getitem__, map(clears[0].__and__, keys)))
 
-    return len(set(merge_classes(len(homs), pairs())))
+    def class_pairs(clear):
+        # on the corpus a pair repeats about four times over; the set drops
+        # the repeats at C speed, before the union-find sees them
+        rep = dict(zip(map(clear.__and__, keys), group))
+        return set(zip(group, map(rep.__getitem__, map(clear.__and__, keys))))
+
+    def looped_pairs():
+        for x in range(g.n):
+            if not g.adj[x] >> x & 1:
+                continue
+            sh = shifts[x]
+            clear = ~(field << sh)
+            byval: dict[int, dict[int, int]] = {}
+            for key, i in zip(keys, group):
+                byval.setdefault(key & clear, {})[key >> sh & field] = i
+            for vals in byval.values():
+                items = sorted(vals.items())
+                for a, i in items:
+                    for b, j in items:
+                        if a < b and h.adj[a] >> b & 1:
+                            yield i, j
+
+    pairs = chain(chain.from_iterable(map(class_pairs, clears[1:])),
+                  looped_pairs())
+    return len(set(merge_classes(len(ids), pairs)))

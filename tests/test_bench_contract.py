@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import homtopo
-from homtopo import _kernels, equivariant, topology
+from homtopo import _kernels, equivariant, graphs, homcx, topology
 from homtopo.graphs import complete
 from homtopo.homcx import build_hom
 
@@ -59,6 +59,11 @@ def test_rank_reached_through_topology():
 def test_span_reached_through_equivariant():
     # likewise for the span columns that sw_height tests
     assert equivariant.gf2_in_span is _kernels.gf2_in_span
+
+
+def test_homomorphisms_reached_through_homcx():
+    # likewise for the maps that count_hom_components groups
+    assert homcx.enumerate_homomorphisms is graphs.enumerate_homomorphisms
 
 
 def test_quotient_has_what_check_rp_reads():

@@ -17,6 +17,7 @@ from homtopo.graphs import (Graph, are_isomorphic, bits, chromatic_number,
                             make_family, max_independent_set, parse_graph_name,
                             path, petersen, q_graph, to_edge_list, to_json,
                             validate_involution)
+from test_homcx import small_graphs as any_graphs
 
 
 def brute_homs(g, h):
@@ -168,7 +169,31 @@ def test_enumerate_homomorphisms_edge_cases():
     assert enumerate_homomorphisms(Graph(0, ()), complete(3)) == [()]
     with pytest.raises(BudgetError) as ei:
         enumerate_homomorphisms(cycle(5), complete(4), budget=10)
-    assert ei.value.found is not None
+    # the first ten candidates: 0,1,0,1 at vertices 0-3, 2 and 3 at vertex
+    # 4 (two maps), 2 at vertex 3, 1 and 3 at vertex 4 (two maps), 3 at
+    # vertex 3; the eleventh, (0,1,0,3,1), is over the cap
+    assert ei.value.found == 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_graphs(5), any_graphs(4), st.integers(0, 300))
+def test_enumerate_homomorphisms_property(g, h, budget):
+    homs = sorted(brute_homs(g, h))
+    assert enumerate_homomorphisms(g, h) == homs
+
+    def listed(b):
+        try:
+            out = enumerate_homomorphisms(g, h, b)
+        except BudgetError as e:
+            return e.found
+        assert out == homs
+        return len(out)
+
+    # a candidate tried lists at most one map, so one more unit of budget
+    # lists at most one more, from none at budget 0 up to all of them
+    assert listed(0) == 0
+    assert listed(budget) <= listed(budget + 1) <= listed(budget) + 1
+    assert listed(budget) <= len(homs)
 
 
 def test_chromatic_number():

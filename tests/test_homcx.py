@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from homtopo import homcx
 from homtopo._kernels import pure
 from homtopo.errors import BudgetError, ConsistencyError, DomainError
-from homtopo.formulas import kmn_cells
+from homtopo.formulas import cycle_components, kmn_cells
 from homtopo.graphs import (Graph, bits, complete, cycle, disjoint_union,
                             from_edges, path, petersen, q_graph)
 from homtopo.homcx import (GraphMap, HomComplex, NonCubical, build_hom,
@@ -200,10 +200,21 @@ def test_independence_complex():
     (complete(3), complete(4)),
     (q_graph(), q_graph()),
     (complete(2, looped=True), complete(3, looped=True)),
+    # looped 0 beside unlooped 1, 2: two components, one if the looped
+    # vertex could move between the non-adjacent looped targets 0 and 1
+    (from_edges(3, [(0, 0), (0, 1)]),
+     from_edges(3, [(0, 0), (0, 2), (1, 1), (1, 2)])),
 ])
 def test_count_hom_components_matches_complex(g, h):
     x = build_hom(g, h)
     assert count_hom_components(g, h) == connected_components(x)
+
+
+@pytest.mark.parametrize("t", range(3, 13))
+def test_count_hom_components_of_cycles(t):
+    # Hom(C_t,K_3) is disconnected, and an odd cycle takes three colour
+    # classes, so every class after the first must join groups
+    assert count_hom_components(cycle(t), complete(3)) == cycle_components(t)
 
 
 def test_cell_label():
