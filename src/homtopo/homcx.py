@@ -121,28 +121,47 @@ class HomComplex:
     def chain_data(self):
         """(dims, facets): per cell its dimension and ascending facet indices.
 
-        A facet drops one bit from a field that keeps at least one; the bits
-        of a key are walked from high to low and `key ^ bit` is looked up in
-        the index.  A miss means the bit was alone in its field, since every
-        other drop leaves a face of a cell (the set is face-closed).  Dropping
-        a higher bit gives a smaller key, and inside one dimension index order
-        is key order, so each facet list comes out ascending.
+        A facet drops one bit from a field that keeps at least one, so only
+        the bits of fields holding two or more are looked up.  They are
+        found word-parallel on the packed key, with low, high and rest the
+        lowest bit, the highest bit and the other w - 1 bits of every field:
+        r = k & (k - low) clears the lowest bit of each field (no field is
+        empty, so nothing borrows across fields); t holds the high bit of
+        each field where r is nonzero; (t << 1) - (t >> (w - 1)) fills those
+        fields.  0-cells have no facets.  Each `key ^ bit` must be in the
+        index, since the set is face-closed; a miss raises ConsistencyError.
+        Dropping a higher bit gives a smaller key, and inside one dimension
+        index order is key order, so each facet list comes out ascending.
         """
         if self._chain is None:
-            get = self.index().get
-            n_g = self.n_g
+            index = self.index()
+            n_g, w = self.n_g, self.n_h
             dims = []
             facets = []
-            for k in self.keys:
-                dims.append(k.bit_count() - n_g)
+            if self.keys:
+                low = sum(1 << (x * w) for x in range(n_g))
+                high = low << (w - 1)
+                rest = low * ((1 << w) - 1) ^ high
+                up = w - 1
+            for i, k in enumerate(self.keys):
+                d = k.bit_count() - n_g
+                dims.append(d)
+                if not d:
+                    facets.append([])
+                    continue
+                r = k & (k - low)
+                t = (((r & rest) + rest) | r) & high
+                m = k & ((t << 1) - (t >> up))
                 fs = []
-                rest = k
-                while rest:
-                    bit = 1 << (rest.bit_length() - 1)
-                    rest ^= bit
-                    i = get(k ^ bit)
-                    if i is not None:
-                        fs.append(i)
+                try:
+                    while m:
+                        bit = 1 << (m.bit_length() - 1)
+                        m ^= bit
+                        fs.append(index[k ^ bit])
+                except KeyError:
+                    raise ConsistencyError(
+                        f"cell {self.cell_label(i)} lacks the face "
+                        f"{self.cell_of(k ^ bit)}: not face-closed") from None
                 facets.append(fs)
             self._chain = (dims, facets)
         return self._chain
@@ -210,29 +229,35 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
     """Enumerate all of Hom(g,h); `budget` caps the cell count (see
     cell_budget).
 
-    When h is a loopless complete graph, g has at most COUNT_MAX_VERTICES
-    vertices, 2^|V(g)| is within the budget and (2^n - 1)^|V(g)| (any
-    nonempty mask at every vertex) is not, the cells are counted first: an
-    over-budget complex is refused with the exact count as `found`, and an
-    enumeration that misses the count raises ConsistencyError.
+    The cells are counted first in two cases: when every vertex of h is
+    adjacent to every vertex, itself included, every tuple of nonempty
+    masks is a cell, so there are (2^n - 1)^|V(g)|; and when h is a
+    loopless complete graph, g has at most COUNT_MAX_VERTICES vertices,
+    2^|V(g)| is within the budget and (2^n - 1)^|V(g)| is not, they are
+    counted by _complete_target_cells.  Then an over-budget complex is
+    refused with the exact count as `found`, and an enumeration that misses
+    the count raises ConsistencyError.
     """
     if g.n < 1:
         raise DomainError("source graph needs at least one vertex")
     budget = cell_budget(budget)
     count = None
     full = (1 << h.n) - 1
-    if (g.n <= COUNT_MAX_VERTICES and 1 << g.n <= budget < full ** g.n
+    if all(row == full for row in h.adj):
+        count, name = full ** g.n, f"K_{h.n} with every loop"
+    elif (g.n <= COUNT_MAX_VERTICES and 1 << g.n <= budget < full ** g.n
             and all(row == full ^ 1 << v for v, row in enumerate(h.adj))):
-        count = _complete_target_cells(g.adj, h.n)
+        count, name = _complete_target_cells(g.adj, h.n), f"K_{h.n}"
+    if count is not None:
         if count > budget:
             raise BudgetError(f"cell budget {budget} exceeded: "
-                              f"Hom(G,K_{h.n}) has {count} cells", found=count)
+                              f"Hom(G,{name}) has {count} cells", found=count)
         if count == 0:
             return HomComplex(g, h, [])
     keys = enumerate_hom_cells(g.adj, h.adj, budget)
     if count is not None and len(keys) != count:
         raise ConsistencyError(f"enumerated {len(keys)} cells of "
-                               f"Hom(G,K_{h.n}), counted {count}")
+                               f"Hom(G,{name}), counted {count}")
     return HomComplex(g, h, keys)
 
 

@@ -5,10 +5,13 @@ where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
 the codimension-1 faces of cell i (each exactly once: regular CW / ordered
 Delta-complex boundary over GF(2)).  The functions here consume only that.
 
-`betti_gf2` checks the size cap and the boundary of the whole complex, then
-removes Mrozek-Batko coreduction pairs (Mrozek & Batko, "Coreduction
-homology algorithm", DCG 41, 2009) and runs GF(2) elimination only on the
-cells that are left.
+`betti_gf2` checks the chain data one cell at a time (facet dimensions,
+two endpoints per 1-cell, and the boundary of the boundary of that cell
+over GF(2), from the sorted facets of its facets), with no full boundary
+column.  It then removes Mrozek-Batko coreduction pairs (Mrozek & Batko,
+"Coreduction homology algorithm", DCG 41, 2009) and runs GF(2) elimination
+only on the cells that are left; MATRIX_BIT_CAP bounds those residue
+matrices, checked before any of their columns is built.
 """
 
 from __future__ import annotations
@@ -216,14 +219,16 @@ def connected_components(c) -> int:
     return len({labels[i] for i, d in enumerate(dims) if d == 0})
 
 
-def _coreduce(dims, facets):
+def _coreduce(dims, facets, cofacets):
     """Mrozek-Batko coreduction of chain data.
 
-    A 0-cell that no earlier component reached is removed as the seed of a
-    new component.  Then every cell with exactly one facet left is removed
-    together with that facet.  A cell joins a first-in first-out queue when
-    its count of facets left drops to one; a stack instead leaves several
-    times more cells on the large Hom complexes.
+    `cofacets[j]` lists, in ascending order, the cells that have j as a
+    facet; betti_gf2 builds it in its check pass.  A 0-cell that no earlier
+    component reached is removed as the seed of a new component.  Then
+    every cell with exactly one facet left is removed together with that
+    facet.  A cell joins a first-in first-out queue when its count of
+    facets left drops to one; a stack instead leaves several times more
+    cells on the large Hom complexes.
 
     Returns (mate, seeds).  mate[i] is -1 for a cell left in the residue, i
     itself for a 0-cell taken as the seed of a component, and otherwise the
@@ -235,10 +240,6 @@ def _coreduce(dims, facets):
     and the boundary squares to zero, which betti_gf2 checks first.
     """
     n = len(dims)
-    cofacets: list[list[int]] = [[] for _ in range(n)]
-    for i, fs in enumerate(facets):
-        for j in fs:
-            cofacets[j].append(i)
     live = list(map(len, facets))  # facets of each cell still present
     mate = [-1] * n
     seeds = 0
@@ -272,67 +273,67 @@ def _coreduce(dims, facets):
     return mate, seeds
 
 
+def _check_cells(dims, facets):
+    """One pass over the cells: (f-vector, cofacets), or ConsistencyError.
+
+    Every facet of a k-cell must have dimension k - 1, and a 1-cell must
+    have two distinct endpoints.  For a cell of dimension >= 2 the facets
+    of its facets are sorted: its boundary squares to zero over GF(2) iff
+    every index occurs an even number of times, iff s[::2] == s[1::2].
+    cofacets[j] comes out in ascending cell order.
+    """
+    f = [0] * (max(dims, default=-1) + 1)
+    cofacets: list[list[int]] = [[] for _ in dims]
+    for i, fs in enumerate(facets):
+        d = dims[i]
+        f[d] += 1
+        below = d - 1
+        s = []  # the facets of the facets, with multiplicity
+        for j in fs:
+            if dims[j] != below:
+                raise ConsistencyError(
+                    f"cell {i} (dim {d}) has a facet of dim {dims[j]}")
+            cofacets[j].append(i)
+            s += facets[j]
+        if d >= 2:
+            s.sort()
+            if s[::2] != s[1::2]:
+                raise ConsistencyError(f"boundary square nonzero at cell {i}")
+        elif d == 1 and (len(fs) != 2 or fs[0] == fs[1]):
+            # coreduction seeds one 0-cell per component; that counts b_0
+            # only if every 1-cell joins two distinct 0-cells
+            raise ConsistencyError(
+                f"1-cell {i} does not have two distinct endpoints")
+    return f, cofacets
+
+
 def betti_gf2(c) -> BettiProfile:
     """GF(2) Betti numbers of a regular CW / ordered Delta complex.
 
-    The size cap, the facet checks and the boundary-square check run on the
-    whole complex; GF(2) elimination runs only on the coreduction residue.
+    The facet checks and the boundary-square check run cell by cell on the
+    whole complex; no full boundary column is built.  GF(2) elimination
+    runs only on the coreduction residue, whose boundary matrices are
+    checked against MATRIX_BIT_CAP before any of their columns is built.
     """
     dims, facets = c.chain_data()
     if not dims:
         return BettiProfile((), 0, ())
-    top = max(dims)
-    f = [0] * (top + 1)
-    local = [0] * len(dims)
-    buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    for i, d in enumerate(dims):
-        local[i] = f[d]
-        f[d] += 1
-        buckets[d].append(i)
-
-    for k in range(1, top + 1):
-        if f[k] * f[k - 1] > MATRIX_BIT_CAP:
-            raise ResourceError(
-                f"boundary matrix {f[k - 1]}x{f[k]} exceeds {MATRIX_BIT_CAP} bits")
-
-    # every full boundary column, built once, checks the whole complex
-    prev_cols: list[int] = []
-    for k in range(top + 1):
-        cols = []
-        for i in buckets[k]:
-            col = 0
-            for j in facets[i]:
-                if dims[j] != k - 1:
-                    raise ConsistencyError(
-                        f"cell {i} (dim {k}) has a facet of dim {dims[j]}")
-                col |= 1 << local[j]
-            cols.append(col)
-        if k == 1:
-            # coreduction seeds one 0-cell per component; that counts b_0
-            # only if every 1-cell joins two distinct 0-cells
-            for i, col in zip(buckets[1], cols):
-                if col.bit_count() != 2 or len(facets[i]) != 2:
-                    raise ConsistencyError(
-                        f"1-cell {i} does not have two distinct endpoints")
-        elif k >= 2:
-            # boundary-of-boundary must vanish over GF(2)
-            for i, col_i in zip(buckets[k], cols):
-                acc = 0
-                for j in facets[i]:
-                    acc ^= prev_cols[local[j]]
-                if acc:
-                    raise ConsistencyError(f"boundary square nonzero at cell {i}")
-        prev_cols = cols
-    del prev_cols, cols  # the full columns are not needed past the checks
-
-    mate, seeds = _coreduce(dims, facets)
+    f, cofacets = _check_cells(dims, facets)
+    mate, seeds = _coreduce(dims, facets, cofacets)
+    del cofacets  # one list per cell: freed before the residue is built
+    top = len(f) - 1
     # the residue's columns, with rows renumbered densely per dimension
     residue = [i for i, m in enumerate(mate) if m < 0]
     rf = [0] * (top + 1)
+    local: dict[int, int] = {}
     for i in residue:
         d = dims[i]
         local[i] = rf[d]
         rf[d] += 1
+    for k in range(1, top + 1):
+        if rf[k] * rf[k - 1] > MATRIX_BIT_CAP:
+            raise ResourceError(f"residue boundary matrix {rf[k - 1]}x{rf[k]}"
+                                f" exceeds {MATRIX_BIT_CAP} bits")
     rcols: list[list[int]] = [[] for _ in range(top + 1)]
     for i in residue:
         col = 0

@@ -21,7 +21,7 @@ from homtopo.morse import PartialMatching, is_acyclic
 from homtopo.topology import (SimplicialComplex, betti_gf2, face_poset,
                               order_complex)
 from test_homcx import small_graphs
-from test_topology import posets
+from test_topology import OpenEdge, posets
 
 
 def direct_betti(c):
@@ -50,7 +50,8 @@ def direct_betti(c):
 def residue_and_matching(c):
     """(residue cell dims, seeds, PartialMatching of the removed pairs)."""
     dims, facets = c.chain_data()
-    mate, seeds = topology._coreduce(dims, facets)
+    _, cofacets = topology._check_cells(dims, facets)
+    mate, seeds = topology._coreduce(dims, facets, cofacets)
     mu = {i: m for i, m in enumerate(mate) if m >= 0 and dims[m] > dims[i]}
     residue = [dims[i] for i, m in enumerate(mate) if m < 0]
     return residue, seeds, PartialMatching(face_poset(c), mu, carrier=c)
@@ -138,12 +139,6 @@ def test_c5_k5_residue_is_small():
 
 # ------------------------------------------------------------ guard rails
 
-class OpenEdge:
-    # a 1-cell with a single endpoint: not a regular CW complex
-    def chain_data(self):
-        return [0, 1], [[], [0]]
-
-
 def test_one_cells_need_two_endpoints():
     with pytest.raises(ConsistencyError):
         betti_gf2(OpenEdge())
@@ -152,8 +147,8 @@ def test_one_cells_need_two_endpoints():
 def test_euler_check_catches_a_miscounted_seed(monkeypatch):
     real = topology._coreduce
 
-    def one_seed_too_many(dims, facets):
-        mate, seeds = real(dims, facets)
+    def one_seed_too_many(dims, facets, cofacets):
+        mate, seeds = real(dims, facets, cofacets)
         return mate, seeds + 1
 
     monkeypatch.setattr(topology, "_coreduce", one_seed_too_many)
@@ -167,8 +162,7 @@ from homtopo.errors import ConsistencyError
 from homtopo.graphs import complete
 from homtopo.homcx import build_hom
 real = topology._coreduce
-topology._coreduce = lambda dims, facets: (real(dims, facets)[0],
-                                           real(dims, facets)[1] + 1)
+topology._coreduce = lambda *data: (real(*data)[0], real(*data)[1] + 1)
 try:
     topology.betti_gf2(build_hom(complete(2), complete(4)))
 except ConsistencyError:

@@ -93,6 +93,15 @@ def test_facets_drop_one_bit():
         assert facets[i] == want
 
 
+def test_missing_face_is_inconsistent():
+    x = build_hom(cycle(4), complete(3))
+    # drop one 1-cell: the 2-cells above it lose a face
+    gone = next(k for k in x.keys if x.dim_of_key(k) == 1)
+    broken = HomComplex(x.g, x.h, [k for k in x.keys if k != gone])
+    with pytest.raises(ConsistencyError, match="not face-closed"):
+        broken.chain_data()
+
+
 def test_face_relation():
     x = build_hom(complete(2), complete(3))
     assert face_relation(x, (0b001, 0b010), (0b001, 0b110))
@@ -348,6 +357,25 @@ def test_count_reaches_count_max_vertices(monkeypatch):
     with pytest.raises(BudgetError) as e:
         build_hom(cycle(16), complete(3), budget=2 ** 16)
     assert e.value.found == 1336128   # as many as the kernel lists
+
+
+def test_looped_complete_target_counted_first(monkeypatch):
+    real = homcx.enumerate_hom_cells
+    k3o = complete(3, looped=True)
+    # every tuple of nonempty masks is a cell: 7^|V(G)|
+    x = build_hom(path(4), k3o)
+    assert len(x) == 7 ** 4 == len(brute_cells(path(4), k3o))
+    monkeypatch.setattr(homcx, "enumerate_hom_cells", _must_not_run)
+    with pytest.raises(BudgetError, match=f"has {7 ** 20} cells") as e:
+        build_hom(cycle(20), k3o)
+    assert e.value.found == 7 ** 20
+    with pytest.raises(BudgetError) as e:
+        build_hom(complete(2, looped=True), complete(2, looped=True), budget=8)
+    assert e.value.found == 9
+    monkeypatch.setattr(homcx, "enumerate_hom_cells",
+                        lambda a, b, budget: real(a, b, budget)[1:])
+    with pytest.raises(ConsistencyError, match="enumerated 48 cells"):
+        build_hom(path(2), k3o)
 
 
 def test_budget_equal_to_the_count_builds():
