@@ -20,10 +20,9 @@ give a cocycle representing w_1^k.
 `quotient` keeps the older model, one barycentric subdivision: vertices are
 cell-orbits graded by cell dimension, simplices are orbit-chains.  Each
 orbit-chain is stored as the lift whose bottom cell is the lower cell of its
-orbit, so the chains of the face poset are filtered, not paired with their
-mirrors; a face is mirrored only when it drops that bottom cell and the next
-cell is the upper one of its orbit.  It is no longer used for heights or
-bounds.
+orbit, so only the chains of the face poset that start there are walked;
+a face is mirrored only when it drops that bottom cell and the next cell is
+the upper one of its orbit.  It is no longer used for heights or bounds.
 """
 
 from __future__ import annotations
@@ -172,7 +171,11 @@ class QuotientComplex:
     def __init__(self, x, a: Involution):
         _require_free(x, a)
         self.perm = perm = a.perm
-        lifts = [t for t in face_poset(x).chains() if t[0] < perm[t[0]]]
+        lower = 0  # the lower cell of each orbit
+        for i, j in enumerate(perm):
+            if i < j:
+                lower |= 1 << i
+        lifts = face_poset(x).chains(start=lower)
         lifts.sort()
         lifts.sort(key=len)  # stable: (len(t), t) order
         self.simplices = lifts

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice
+from math import prod
 from operator import lshift
 
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, ConsistencyError, DomainError
 from .graphs import (HOM_BUDGET, Graph, bits, common_neighbors,
-                     enumerate_homomorphisms, is_homomorphism)
+                     enumerate_homomorphisms, induced_subgraph,
+                     is_homomorphism)
 from .topology import SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
@@ -50,9 +52,13 @@ class GraphMap:
 
 
 class HomComplex:
-    """The polyhedral complex of multihomomorphisms G -> H."""
+    """The polyhedral complex of multihomomorphisms G -> H.
 
-    def __init__(self, g: Graph, h: Graph, keys):
+    `whole=True` says the keys are all of Hom(g,h), as build_hom's are; only
+    such a complex offers `factors()`.
+    """
+
+    def __init__(self, g: Graph, h: Graph, keys, *, whole: bool = False):
         self.g = g
         self.h = h
         self.n_g = g.n
@@ -61,6 +67,8 @@ class HomComplex:
         self.keys = sorted(sorted(keys), key=int.bit_count)
         self._index: dict[int, int] | None = None
         self._chain = None
+        self._whole = whole
+        self._factors: tuple[HomComplex, ...] | None = None
 
     def __len__(self):
         return len(self.keys)
@@ -166,6 +174,50 @@ class HomComplex:
             self._chain = (dims, facets)
         return self._chain
 
+    def factors(self) -> tuple["HomComplex", ...]:
+        """Hom(G_i, H) for each connected component G_i of G, in vertex
+        order, when G has two or more and the keys are all of a nonempty
+        Hom(G,H); otherwise ().
+
+        Hom(G1+G2, H) = Hom(G1,H) x Hom(G2,H) cell by cell (Babson & Kozlov
+        2006), so the keys must be exactly the product of the factors' keys,
+        each spread into its component's fields.  That is checked without
+        building the product: the keys are distinct, there are as many as
+        the product of the factor sizes, and masking the keys to each
+        component's fields gives that factor's keys.  The first two make
+        the keys as many as the product; the third puts each of them in it.
+        A miss raises ConsistencyError.  A subcomplex is never split: a
+        proper subcomplex of a product is not a product.
+        """
+        if self._factors is None:
+            comps = _components(self.g.adj) if self._whole and self.keys else ()
+            self._factors = self._split(comps) if len(comps) > 1 else ()
+        return self._factors
+
+    def _split(self, comps: list[int]) -> tuple["HomComplex", ...]:
+        keys, n, w = self.keys, self.n_g, self.n_h
+        full = (1 << w) - 1
+        if any(map(int.__eq__, keys, islice(keys, 1, None))):
+            raise ConsistencyError("a cell is listed twice")
+        parts = tuple(build_hom(induced_subgraph(self.g, c), self.h,
+                                budget=len(keys)) for c in comps)
+        if len(keys) != prod(map(len, parts)):
+            raise ConsistencyError(
+                f"{len(keys)} cells, but the components' complexes have "
+                f"{' x '.join(str(len(p)) for p in parts)}")
+        for c, part in zip(comps, parts):
+            # factor field i (shift (m-1-i)*w) lands on source vertex v
+            moves = [((part.n_g - 1 - i) * w, (n - 1 - v) * w)
+                     for i, v in enumerate(bits(c))]
+            mask = sum(full << t for _, t in moves)
+            spread = {sum((k >> s & full) << t for s, t in moves)
+                      for k in part.keys}
+            if set(map(mask.__and__, keys)) != spread:
+                raise ConsistencyError(
+                    f"the cells restricted to the component on vertices "
+                    f"{list(bits(c))} are not Hom of that component")
+        return parts
+
     def subcomplex(self, keys) -> "HomComplex":
         """Same ambient G,H, restricted key set (caller keeps it face-closed)."""
         sub = HomComplex(self.g, self.h, keys)
@@ -182,6 +234,27 @@ class HomComplex:
         if emit_cells:
             obj["cells"] = [list(self.cell_of(k)) for k in self.keys]
         return obj
+
+
+def _components(adj) -> list[int]:
+    """Vertex masks of the connected components, by lowest vertex.
+
+    A frontier walk on masks: about 1 us for a connected source of a few
+    vertices, which every betti_gf2 call on a HomComplex pays.
+    """
+    comps = []
+    left = (1 << len(adj)) - 1
+    while left:
+        seen = front = left & -left
+        while front:
+            low = front & -front
+            front ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            front |= new
+        comps.append(seen)
+        left ^= seen
+    return comps
 
 
 def cell_budget(budget: int | None = None) -> int:
@@ -253,12 +326,12 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
             raise BudgetError(f"cell budget {budget} exceeded: "
                               f"Hom(G,{name}) has {count} cells", found=count)
         if count == 0:
-            return HomComplex(g, h, [])
+            return HomComplex(g, h, [], whole=True)
     keys = enumerate_hom_cells(g.adj, h.adj, budget)
     if count is not None and len(keys) != count:
         raise ConsistencyError(f"enumerated {len(keys)} cells of "
                                f"Hom(G,{name}), counted {count}")
-    return HomComplex(g, h, keys)
+    return HomComplex(g, h, keys, whole=True)
 
 
 def face_relation(x: HomComplex, a, b) -> bool:

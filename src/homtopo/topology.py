@@ -12,19 +12,32 @@ column.  It then removes Mrozek-Batko coreduction pairs (Mrozek & Batko,
 "Coreduction homology algorithm", DCG 41, 2009) and runs GF(2) elimination
 only on the cells that are left; MATRIX_BIT_CAP bounds those residue
 matrices, checked before any of their columns is built.
+
+A complex may also offer `factors()`, complexes whose product it is cell by
+cell (HomComplex does for a disconnected source, after checking the
+product).  From SPLIT_MIN_CELLS cells up, `betti_gf2` then runs on each
+factor alone and convolves their Betti numbers and f-vectors, by the
+Kunneth theorem over the field GF(2) (Hatcher, Algebraic Topology,
+Thm 3B.6); the product's chain data is never built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from ._kernels import gf2_rank
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import bits, disjoint_union, match_arcs
 
 MATRIX_BIT_CAP = 1 << 30
+# betti_gf2 splits a complex into its factors only from this many cells up.
+# Below it the factors' own builds and Betti runs cost more than one run on
+# the whole: on random Hom(G,K_n) with G disconnected (2-vCPU Xeon), a
+# 42-cell product split 7 x 6 took 1.6-2x as long, 126 cells about 1.1x,
+# 144 cells about 0.9x and 210 cells about 0.7x.
+SPLIT_MIN_CELLS = 128
 
 
 @dataclass(frozen=True)
@@ -134,9 +147,11 @@ class Poset:
                 covers[j].append(i)
         return Poset([top - g for g in self.grades], covers, self.labels)
 
-    def chains(self, mask: int | None = None) -> list[tuple[int, ...]]:
-        """All nonempty chains inside `mask` (default: every element), each
-        as an ascending index tuple."""
+    def chains(self, mask: int | None = None,
+               start: int | None = None) -> list[tuple[int, ...]]:
+        """All nonempty chains inside `mask` (default: every element) whose
+        least element is in `start` (default: any), each as an ascending
+        index tuple."""
         if mask is None:
             mask = (1 << len(self.grades)) - 1
         out = []
@@ -149,7 +164,7 @@ class Poset:
                 grow(chain, avail & above[j])
                 chain.pop()
 
-        for i in bits(mask):
+        for i in bits(mask if start is None else mask & start):
             grow([i], above[i] & mask)
         return out
 
@@ -307,14 +322,36 @@ def _check_cells(dims, facets):
     return f, cofacets
 
 
+def _convolve(a, b) -> tuple[int, ...]:
+    """The graded sequence of a product: out[k] = sum of a[i] * b[k - i]."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def betti_gf2(c) -> BettiProfile:
     """GF(2) Betti numbers of a regular CW / ordered Delta complex.
 
-    The facet checks and the boundary-square check run cell by cell on the
-    whole complex; no full boundary column is built.  GF(2) elimination
-    runs only on the coreduction residue, whose boundary matrices are
-    checked against MATRIX_BIT_CAP before any of their columns is built.
+    A complex of at least SPLIT_MIN_CELLS cells whose `factors()` lists
+    factors is their product: each factor takes the path below, and the
+    Betti numbers and f-vector are the convolutions of theirs (Kunneth over
+    a field), with the Euler characteristic read from that f-vector.
+    Otherwise the facet checks and
+    the boundary-square check run cell by cell on the whole complex; no
+    full boundary column is built.  GF(2) elimination runs only on the
+    coreduction residue, whose boundary matrices are checked against
+    MATRIX_BIT_CAP before any of their columns is built.
     """
+    split = getattr(c, "factors", None)
+    parts = split() if split and len(c) >= SPLIT_MIN_CELLS else ()
+    if parts:
+        profiles = [betti_gf2(p) for p in parts]
+        betti = reduce(_convolve, (p.betti for p in profiles))
+        f = reduce(_convolve, (p.f_vector for p in profiles))
+        euler = sum((-1) ** k * fk for k, fk in enumerate(f))
+        return BettiProfile(betti, euler, f)
     dims, facets = c.chain_data()
     if not dims:
         return BettiProfile((), 0, ())
@@ -392,19 +429,16 @@ def find_poset_isomorphism(p: Poset, q: Poset) -> list[int] | None:
 
 
 def product_fvector_check(g, h, k) -> bool:
-    """Cell-by-cell check that Hom(g|_|h, k) is the product of the factors."""
+    """Cell-by-cell check that Hom(g|_|h, k) is the product of the factors:
+    HomComplex.factors checks its cells against its components' complexes
+    (count and projections), then its f-vector must be the convolution of
+    those of Hom(g,k) and Hom(h,k)."""
     from .homcx import build_hom
 
-    a = build_hom(g, k)
-    b = build_hom(h, k)
     u = build_hom(disjoint_union(g, h), k)
-    shift = h.n * k.n
-    paired = {(ka << shift) | kb for ka in a.keys for kb in b.keys}
-    if paired != set(u.keys):
+    try:
+        u.factors()
+    except ConsistencyError:
         return False
-    fa, fb, fu = f_vector(a), f_vector(b), f_vector(u)
-    conv = [0] * (len(fa) + len(fb) - 1) if fa and fb else []
-    for i, x in enumerate(fa):
-        for j, y in enumerate(fb):
-            conv[i + j] += x * y
-    return tuple(conv) == fu
+    return f_vector(u) == _convolve(f_vector(build_hom(g, k)),
+                                    f_vector(build_hom(h, k)))

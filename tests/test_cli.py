@@ -65,6 +65,14 @@ def test_hom_reports(capsys):
     assert obj["f_vector"] == [30, 30] and len(obj["cell_list"]) == 60
 
 
+def test_hom_betti_of_a_disconnected_source(capsys):
+    # Hom(3K2, K4) = (S^2)^3, split into its three factors
+    data = os.path.join(os.path.dirname(__file__), "data", "3K2.edges")
+    code, obj = run_json(capsys, "hom", "--source", data, "--target", "K4",
+                         "--betti")
+    assert code == 0 and obj["betti"] == [1, 0, 3, 0, 3, 0, 1]
+
+
 def test_hom_exit_codes(capsys):
     code, _ = run(capsys, "hom", "--source", "Kxx", "--target", "K3")
     assert code == 2

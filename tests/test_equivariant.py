@@ -193,6 +193,25 @@ def test_quotient_counts():
         assert len(set(fs)) == len(fs)  # faces pairwise distinct
 
 
+@pytest.mark.parametrize("n,simplices", [(3, 12), (4, 145), (5, 2100),
+                                         (6, 36361)])
+def test_quotient_walks_chains_once_from_lower_cells(monkeypatch, n, simplices):
+    x, a = flip_complex(complete(n))
+    walked = []
+    chains = topology.Poset.chains
+
+    def counting(self, *args, **kwargs):
+        out = chains(self, *args, **kwargs)
+        walked.append(len(out))
+        return out
+
+    monkeypatch.setattr(topology.Poset, "chains", counting)
+    q = quotient(x, a)
+    # one walk, and every chain it yields is kept
+    assert walked == [len(q.simplices)] == [simplices]
+    assert q.simplices == mirror_min_quotient(x, a)[0]
+
+
 def test_orbit_counts():
     x, a = flip_complex(complete(4))
     q = orbit_complex(x, a)

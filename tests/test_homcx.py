@@ -19,8 +19,8 @@ from homtopo.homcx import (GraphMap, HomComplex, NonCubical, build_hom,
                            contravariant_map, count_hom_components,
                            covariant_map, face_relation, independence_complex,
                            link_data, neighborhood_complex)
-from homtopo.topology import (betti_gf2, connected_components, f_vector,
-                              face_poset)
+from homtopo.topology import (SPLIT_MIN_CELLS, betti_gf2,
+                              connected_components, f_vector, face_poset)
 
 
 def brute_cells(g, h):
@@ -402,3 +402,91 @@ def test_enumeration_that_misses_the_count_is_inconsistent(monkeypatch):
                         lambda a, b, budget: real(a, b, budget)[1:])
     with pytest.raises(ConsistencyError, match="enumerated 59 cells"):
         build_hom(cycle(5), complete(3), budget=60)
+
+
+# ------------------------------------------------ disconnected sources
+
+class Generic:
+    """Only the chain data of a complex, so betti_gf2 takes the generic
+    path even where the complex offers factors."""
+
+    def __init__(self, x):
+        self.chain_data = x.chain_data
+
+
+THREE_K2 = from_edges(6, [(0, 1), (2, 3), (4, 5)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs(3), small_graphs(3), small_graphs(4))
+@example(from_edges(1, []), from_edges(1, [(0, 0)]), complete(2))
+@example(path(2), from_edges(2, [(0, 0), (0, 1)]), complete(3, looped=True))
+def test_split_betti_matches_generic(g1, g2, h):
+    g = disjoint_union(g1, g2)
+    try:
+        x = build_hom(g, h, budget=5000)
+    except BudgetError:
+        reject()
+    parts = len(homcx._components(g.adj)) if x.keys else 0
+    assert len(x.factors()) == parts >= (2 if x.keys else 0)
+    split = betti_gf2(x)
+    # a product under the size gate takes the generic path itself
+    assert (x._chain is None) == (parts > 1 and len(x) >= SPLIT_MIN_CELLS)
+    assert split == betti_gf2(Generic(x))
+
+
+def test_factors_are_the_components():
+    x = build_hom(THREE_K2, complete(4))
+    parts = x.factors()
+    assert [(p.g, p.h, len(p)) for p in parts] == [
+        (complete(2), complete(4), 50)] * 3
+    assert betti_gf2(x).betti == (1, 0, 3, 0, 3, 0, 1)
+    assert x._chain is None  # the product's face data is never built
+    assert betti_gf2(x) == betti_gf2(Generic(x))
+
+
+def test_connected_and_empty_complexes_have_no_factors():
+    assert build_hom(cycle(5), complete(3)).factors() == ()
+    empty = build_hom(disjoint_union(complete(3), complete(1)), complete(2))
+    assert not empty.keys and empty.factors() == ()
+    assert betti_gf2(empty).betti == ()
+
+
+def test_hand_built_complex_is_not_split():
+    x = build_hom(THREE_K2, complete(3))
+    assert HomComplex(x.g, x.h, x.keys).factors() == ()
+
+
+def test_subcomplex_takes_the_generic_path():
+    # the 2-skeleton is face-closed and a proper subcomplex, not a product
+    x = build_hom(disjoint_union(path(3), path(2)), complete(3))
+    sub = x.subcomplex([k for k in x.keys if x.dim_of_key(k) <= 2])
+    assert SPLIT_MIN_CELLS <= len(sub) < len(x)
+    assert sub.factors() == ()
+    assert betti_gf2(sub) == betti_gf2(Generic(sub))
+
+
+def _outside_key(x):
+    """A key of the right shape that is not a cell of x."""
+    full = (1 << x.n_h) - 1
+    return next(k for k in (x.key_of((full,) * x.n_g), x.key_of(
+        (1,) * x.n_g)) if k not in x.index())
+
+
+@pytest.mark.parametrize("change", ["drop", "add", "duplicate", "replace"])
+def test_split_refuses_keys_that_are_not_the_product(change):
+    x = build_hom(disjoint_union(path(2), path(2)), complete(3))
+    keys = list(x.keys)
+    if change == "drop":
+        del keys[len(keys) // 2]
+    elif change == "add":
+        keys.append(_outside_key(x))
+    elif change == "duplicate":
+        keys[-1] = keys[0]
+    else:
+        keys[-1] = _outside_key(x)
+    y = HomComplex(x.g, x.h, keys, whole=True)
+    with pytest.raises(ConsistencyError):
+        y.factors()
+    with pytest.raises(ConsistencyError):
+        betti_gf2(y)

@@ -203,6 +203,17 @@ def test_chains_inside_mask(p, mask):
     assert len(order_complex(p, mask)) == len(want)
 
 
+@settings(deadline=None, derandomize=True)
+@given(posets(), st.integers(0, 127), st.integers(0, 127))
+def test_chains_from_start(p, mask, start):
+    mask &= (1 << len(p)) - 1
+    want = [c for c in brute_chains(p) if all(mask >> e & 1 for e in c)
+            and start >> c[0] & 1]
+    assert sorted(p.chains(mask, start)) == sorted(want)
+    assert sorted(p.chains(start=start)) == sorted(
+        c for c in brute_chains(p) if start >> c[0] & 1)
+
+
 def test_face_poset_grading():
     x = build_hom(complete(2), complete(3))
     p = face_poset(x)
