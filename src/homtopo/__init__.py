@@ -1,10 +1,10 @@
 """Polyhedral complexes of graph multihomomorphisms and their invariants."""
 
 from ._kernels import BACKEND  # read only by perfbench/worker.py
-from .equivariant import (Involution, OrbitComplex, QuotientComplex,
-                          coloring_bound, equivariant_report,
-                          has_invariant_component, induced_involution,
-                          orbit_complex, quotient, sw_height)
+from .equivariant import (Involution, OrbitComplex, coloring_bound,
+                          equivariant_report, has_invariant_component,
+                          induced_involution, orbit_complex, quotient,
+                          sw_height)
 from .errors import (BudgetError, ConsistencyError, DomainError, HomtopoError,
                      ResourceError)
 from .folds import (DominationRecord, ReductionTrace, core_uniqueness_check,

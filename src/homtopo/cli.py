@@ -69,7 +69,7 @@ def cmd_hom(args) -> int:
     h = resolve_graph(args.target)
     x = build_hom(g, h, args.budget)
     obj: dict = {"source": args.source, "target": args.target,
-                 "cells": len(x), "dim": x.dim if x.keys else -1}
+                 "cells": len(x), "dim": x.dim}
     if args.fvector:
         obj["f_vector"] = list(f_vector(x))
     if args.betti:

@@ -17,12 +17,12 @@ the cup product with w_1: lift a quotient cocycle onto the representatives
 off the representatives.  Starting from the all-ones 0-cochain, k steps
 give a cocycle representing w_1^k.
 
-`quotient` keeps the older model, one barycentric subdivision: vertices are
-cell-orbits graded by cell dimension, simplices are orbit-chains.  Each
-orbit-chain is stored as the lift whose bottom cell is the lower cell of its
-orbit, so only the chains of the face poset that start there are walked;
-a face is mirrored only when it drops that bottom cell and the next cell is
-the upper one of its orbit.  It is no longer used for heights or bounds.
+`quotient` builds the barycentric subdivision of X/a as the order complex
+of the orbit complex's face poset.  Each chain of orbits o_0 < ... < o_k
+lifts to exactly one orbit {t, a(t)} of chains of X: the top cell is either
+cell of o_k, and each lower cell is then forced, since no cell lies under
+both eta and a(eta).  Dropping an orbit from the chain drops its cell from
+the lift, so faces match too.  Heights and bounds do not use it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from ._kernels import gf2_in_span
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import betti_gf2, f_vector, face_poset, skeleton_labels
+from .topology import (OrderComplex, betti_gf2, f_vector, face_poset,
+                       order_complex, skeleton_labels)
 
 
 @dataclass(frozen=True)
@@ -153,66 +154,10 @@ def orbit_complex(x, a: Involution, rep_seed: int | None = None) -> OrbitComplex
     return OrbitComplex(x, a, rep_seed)
 
 
-class QuotientComplex:
-    """Ordered Delta-complex of orbit-chains of a free cellular involution.
-
-    The involution preserves dimension and a chain strictly increases it,
-    so no chain meets its own image and the faces of a simplex land on
-    pairwise distinct orbit-chains.
-
-    Each orbit {t, a(t)} of chains is stored once, as the lift whose
-    bottom cell is the lower cell of its orbit, t[0] < a(t[0]).  The action
-    is free, so that lift is min(t, a(t)).  Simplices are ordered by
-    (length, lift).  A face that drops t[d] with d >= 1 keeps t[0], so it
-    is such a lift already; only t[1:] may need its mirror, when
-    t[1] > a(t[1]).
-    """
-
-    def __init__(self, x, a: Involution):
-        _require_free(x, a)
-        self.perm = perm = a.perm
-        lower = 0  # the lower cell of each orbit
-        for i, j in enumerate(perm):
-            if i < j:
-                lower |= 1 << i
-        lifts = face_poset(x).chains(start=lower)
-        lifts.sort()
-        lifts.sort(key=len)  # stable: (len(t), t) order
-        self.simplices = lifts
-        self._index = {t: i for i, t in enumerate(lifts)}
-        self._chain = None
-
-    def __len__(self):
-        return len(self.simplices)
-
-    @property
-    def dim(self) -> int:
-        return len(self.simplices[-1]) - 1 if self.simplices else -1
-
-    def chain_data(self):
-        if self._chain is None:
-            perm, index = self.perm, self._index
-            dims, facets = [], []
-            for t in self.simplices:
-                n = len(t)
-                dims.append(n - 1)
-                if n == 1:
-                    facets.append([])
-                    continue
-                rest = t[1:]
-                if rest[0] > perm[rest[0]]:
-                    rest = tuple([perm[c] for c in rest])
-                fs = [index[t[:d] + t[d + 1:]] for d in range(1, n)]
-                fs.append(index[rest])
-                fs.sort()
-                facets.append(fs)
-            self._chain = (dims, facets)
-        return self._chain
-
-
-def quotient(x, a: Involution) -> QuotientComplex:
-    """The barycentric-subdivision quotient X/a as an ordered Delta-complex."""
-    return QuotientComplex(x, a)
+def quotient(x, a: Involution) -> OrderComplex:
+    """The barycentric-subdivision quotient X/a: the order complex of the
+    face poset of the orbit complex."""
+    return order_complex(face_poset(orbit_complex(x, a)))
 
 
 def _height(q: OrbitComplex, cap: int | None) -> int:

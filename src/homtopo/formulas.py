@@ -289,7 +289,7 @@ def mn_face_poset(n: int) -> Poset:
         by_dim.setdefault(d, []).append(i)
     covers = [[j for j in by_dim.get(dims[i] - 1, ())
                if masks[j] & ~masks[i] == 0] for i in range(len(faces))]
-    return Poset(dims, covers, labels=faces)
+    return Poset(dims, covers)
 
 
 def mn_symmetry(faces: list[MnFaceLabel]) -> tuple[int, ...]:

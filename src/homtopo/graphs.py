@@ -221,10 +221,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def loop_completion(g: Graph) -> Graph:
-    return Graph(g.n, tuple(g.adj[v] | (1 << v) for v in range(g.n)))
-
-
 def induced_subgraph(g: Graph, s: int) -> Graph:
     """Subgraph on the vertex mask `s`, reindexed in ascending vertex order."""
     if s & ~g.vertex_mask:

@@ -83,9 +83,15 @@ class HomComplex:
     def key_of(self, cell) -> int:
         if len(cell) != self.n_g:
             raise DomainError("cell length != vertex count of the source")
+        w = self.n_h
+        full = (1 << w) - 1
         key = 0
-        for x, m in enumerate(cell):
-            key |= m << ((self.n_g - 1 - x) * self.n_h)
+        for m in cell:
+            if not 0 < m <= full:
+                # a wider mask would spill into the next vertex's field
+                raise DomainError(f"mask {m} is not a nonempty subset of "
+                                  f"the {w} target vertices")
+            key = key << w | m
         return key
 
     def dim_of_key(self, key: int) -> int:
@@ -93,7 +99,10 @@ class HomComplex:
 
     def index(self) -> dict[int, int]:
         if self._index is None:
-            self._index = {k: i for i, k in enumerate(self.keys)}
+            index = {k: i for i, k in enumerate(self.keys)}
+            if len(index) != len(self.keys):
+                raise ConsistencyError("a cell is listed more than once")
+            self._index = index
         return self._index
 
     def __contains__(self, cell) -> bool:
@@ -124,7 +133,7 @@ class HomComplex:
 
     @property
     def dim(self) -> int:
-        return max((self.dim_of_key(k) for k in self.keys), default=0)
+        return max((self.dim_of_key(k) for k in self.keys), default=-1)
 
     def chain_data(self):
         """(dims, facets): per cell its dimension and ascending facet indices.

@@ -5,6 +5,10 @@ where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
 the codimension-1 faces of cell i (each exactly once: regular CW / ordered
 Delta-complex boundary over GF(2)).  The functions here consume only that.
 
+`order_complex` gives the ordered Delta-complex of a poset's chains: one
+simplex per chain, whose facets are the chains one element shorter.  On the
+face poset of a regular CW complex it is the barycentric subdivision.
+
 `betti_gf2` checks the chain data one cell at a time (facet dimensions,
 two endpoints per 1-cell, and the boundary of the boundary of that cell
 over GF(2), from the sorted facets of its facets), with no full boundary
@@ -101,10 +105,9 @@ class SimplicialComplex:
 class Poset:
     """Finite graded poset; covers[i] lists the elements covered by i."""
 
-    def __init__(self, grades, covers, labels=None):
+    def __init__(self, grades, covers):
         self.grades = list(grades)
         self.covers = [sorted(c) for c in covers]
-        self.labels = labels
         for i, cov in enumerate(self.covers):
             for j in cov:
                 if self.grades[j] >= self.grades[i]:
@@ -145,13 +148,13 @@ class Poset:
         for i, cov in enumerate(self.covers):
             for j in cov:
                 covers[j].append(i)
-        return Poset([top - g for g in self.grades], covers, self.labels)
+        return Poset([top - g for g in self.grades], covers)
 
-    def chains(self, mask: int | None = None,
-               start: int | None = None) -> list[tuple[int, ...]]:
-        """All nonempty chains inside `mask` (default: every element) whose
-        least element is in `start` (default: any), each as an ascending
-        index tuple."""
+    def chains(self, mask: int | None = None) -> list[tuple[int, ...]]:
+        """All nonempty chains inside `mask` (default: every element), each
+        as a tuple of its elements from least to greatest, in lexicographic
+        order (a depth-first walk taking the elements above in ascending
+        order)."""
         if mask is None:
             mask = (1 << len(self.grades)) - 1
         out = []
@@ -164,7 +167,7 @@ class Poset:
                 grow(chain, avail & above[j])
                 chain.pop()
 
-        for i in bits(mask if start is None else mask & start):
+        for i in bits(mask):
             grow([i], above[i] & mask)
         return out
 
@@ -175,19 +178,50 @@ def face_poset(c) -> Poset:
     return Poset(dims, facets)
 
 
-def order_complex(p: Poset, mask: int | None = None) -> SimplicialComplex:
-    """Simplicial complex of the chains inside `mask` (default: all of p);
-    vertex order is (grade, element id)."""
-    elems = sorted(range(len(p)) if mask is None else bits(mask),
-                   key=lambda i: (p.grades[i], i))
-    pos = {e: new for new, e in enumerate(elems)}
-    sims = []
-    for chain in p.chains(mask):
-        s = 0
-        for e in chain:
-            s |= 1 << pos[e]
-        sims.append(s)
-    return SimplicialComplex(len(elems), sims)
+class OrderComplex:
+    """Ordered Delta-complex of the chains of a poset inside a mask.
+
+    A chain is a simplex with its elements, least first, as vertices; its
+    facets are the chains that drop one element.  Simplices are ordered by
+    (length, chain).
+    """
+
+    def __init__(self, p: Poset, mask: int | None = None):
+        chains = p.chains(mask)  # lexicographic
+        chains.sort(key=len)  # stable: (len(t), t) order
+        self.simplices = chains
+        self._index = {t: i for i, t in enumerate(chains)}
+        self._chain = None
+
+    def __len__(self):
+        return len(self.simplices)
+
+    @property
+    def dim(self) -> int:
+        return len(self.simplices[-1]) - 1 if self.simplices else -1
+
+    def chain_data(self):
+        if self._chain is None:
+            index = self._index
+            dims, facets = [], []
+            for t in self.simplices:
+                n = len(t)
+                dims.append(n - 1)
+                if n == 1:
+                    facets.append([])
+                    continue
+                # drop each element; the two end drops are plain slices
+                fs = [index[t[:d] + t[d + 1:]] for d in range(1, n - 1)]
+                fs += index[t[1:]], index[t[:-1]]
+                fs.sort()
+                facets.append(fs)
+            self._chain = (dims, facets)
+        return self._chain
+
+
+def order_complex(p: Poset, mask: int | None = None) -> OrderComplex:
+    """The order complex of the chains inside `mask` (default: all of p)."""
+    return OrderComplex(p, mask)
 
 
 def f_vector(c) -> tuple[int, ...]:

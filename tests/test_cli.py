@@ -65,6 +65,11 @@ def test_hom_reports(capsys):
     assert obj["f_vector"] == [30, 30] and len(obj["cell_list"]) == 60
 
 
+def test_hom_of_an_empty_complex(capsys):
+    code, obj = run_json(capsys, "hom", "--source", "K3", "--target", "K2")
+    assert code == 0 and obj["cells"] == 0 and obj["dim"] == -1
+
+
 def test_hom_betti_of_a_disconnected_source(capsys):
     # Hom(3K2, K4) = (S^2)^3, split into its three factors
     data = os.path.join(os.path.dirname(__file__), "data", "3K2.edges")

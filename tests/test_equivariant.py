@@ -1,6 +1,6 @@
 """Free involutions, orbit complexes, the connecting map that gives w_1,
-chromatic lower bounds, and the subdivision quotient as their oracle, itself
-checked against a plain mirror-and-min construction."""
+chromatic lower bounds, and the subdivision quotient, each checked against
+a plain mirror-and-min construction of the quotient from chains of X."""
 
 import random
 
@@ -52,11 +52,30 @@ def mirror_min_quotient(x, a):
     return simplices, (dims, facets)
 
 
+def orbit_numbering(a):
+    """orb[cell]: orbits numbered in the order of their lower cells."""
+    orb = {}
+    for i, j in enumerate(a.perm):
+        if i not in orb:
+            orb[i] = orb[j] = len(orb) // 2
+    return orb
+
+
 def assert_quotient_matches_oracle(x, a):
+    """quotient(x, a) is the mirror-min quotient with each lift read as its
+    chain of orbits: a bijection of simplices that carries facets to
+    facets."""
     q = quotient(x, a)
-    simplices, chain = mirror_min_quotient(x, a)
-    assert q.simplices == simplices
-    assert q.chain_data() == chain
+    simplices, (dims, facets) = mirror_min_quotient(x, a)
+    orb = orbit_numbering(a)
+    image = [tuple(orb[c] for c in t) for t in simplices]
+    assert sorted(image) == sorted(q.simplices)
+    where = {t: i for i, t in enumerate(q.simplices)}
+    to_q = [where[t] for t in image]
+    qdims, qfacets = q.chain_data()
+    for i, j in enumerate(to_q):
+        assert qdims[j] == dims[i]
+        assert qfacets[j] == sorted(to_q[f] for f in facets[i])
     return q
 
 
@@ -73,7 +92,8 @@ class Subdivided:
     """
 
     def __init__(self, x, a, rep_seed=None):
-        self.q = q = quotient(x, a)
+        self.simplices, (self.dims, self.facets) = mirror_min_quotient(x, a)
+        self.dim = max(self.dims)
         rng = random.Random(rep_seed) if rep_seed is not None else None
         sheet = {}
         for i, j in enumerate(a.perm):
@@ -81,15 +101,14 @@ class Subdivided:
                 flip = rng is not None and rng.random() < 0.5
                 sheet[i], sheet[j] = int(flip), int(not flip)
         self.sheet = sheet
-        self.dims, self.facets = q.chain_data()
-        self.local, self.count = [], [0] * (q.dim + 1)
+        self.local, self.count = [], [0] * (self.dim + 1)
         for d in self.dims:
             self.local.append(self.count[d])
             self.count[d] += 1
 
     def w_power_vector(self, k):
         vec = 0
-        for i, t in enumerate(self.q.simplices):
+        for i, t in enumerate(self.simplices):
             if self.dims[i] == k and all(self.sheet[u] != self.sheet[v]
                                          for u, v in zip(t, t[1:])):
                 vec |= 1 << self.local[i]
@@ -104,11 +123,11 @@ class Subdivided:
         return cols
 
     def height(self):
-        for k in range(1, self.q.dim + 1):
+        for k in range(1, self.dim + 1):
             if _kernels.gf2_in_span(self.coboundary_columns(k),
                                     self.w_power_vector(k)):
                 return k - 1
-        return self.q.dim
+        return self.dim
 
 
 def assert_coboundary_squares_to_zero(c, top):
@@ -169,6 +188,7 @@ QUOTIENT_CASES = {
     **{f"K2->C{n}": (complete(2), cycle(n), FLIP) for n in range(4, 8)},
     "K2->petersen": (complete(2), petersen(), FLIP),
     "K3->K4": (complete(3), complete(4), (1, 0, 2)),
+    "K3->K5": (complete(3), complete(5), (1, 0, 2)),
 }
 
 
@@ -207,9 +227,10 @@ def test_quotient_walks_chains_once_from_lower_cells(monkeypatch, n, simplices):
 
     monkeypatch.setattr(topology.Poset, "chains", counting)
     q = quotient(x, a)
-    # one walk, and every chain it yields is kept
+    # one walk, over the orbits, and every chain it yields is kept
     assert walked == [len(q.simplices)] == [simplices]
-    assert q.simplices == mirror_min_quotient(x, a)[0]
+    monkeypatch.undo()
+    assert_quotient_matches_oracle(x, a)
 
 
 def test_orbit_counts():
@@ -250,7 +271,7 @@ def test_coboundary_squares_to_zero():
 def test_subdivided_coboundary_squares_to_zero():
     x, a = flip_complex(complete(4))
     s = Subdivided(x, a)
-    assert_coboundary_squares_to_zero(s, s.q.dim)
+    assert_coboundary_squares_to_zero(s, s.dim)
 
 
 def test_w_power_vanishing_chain():
@@ -276,7 +297,7 @@ def test_subdivided_w_power_vanishing_chain():
         x, a = flip_complex(h)
         s = Subdivided(x, a)
         k = s.height()
-        chain = vanishing_chain(s, s.q.dim)
+        chain = vanishing_chain(s, s.dim)
         assert chain == [False] * k + [True] * (len(chain) - k)
         assert k == sw_height(x, a)
 

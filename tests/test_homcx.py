@@ -110,6 +110,35 @@ def test_face_relation():
         face_relation(x, (0b011, 0b100), (0b111, 0b111))
 
 
+def test_repeated_key_is_inconsistent():
+    # the index would keep one copy, so both would get the same facets
+    keys = list(build_hom(path(2), complete(3)).keys)
+    x = HomComplex(path(2), complete(3), keys + [keys[-1]])
+    with pytest.raises(ConsistencyError, match="more than once"):
+        x.index()
+    with pytest.raises(ConsistencyError):
+        betti_gf2(x)
+
+
+@pytest.mark.parametrize("cell", [(0b001, 0), (0b001, 0b1000), (0, 0b1010),
+                                  (0b001, -1)])
+def test_masks_outside_the_target_are_refused(cell):
+    # 0b1010 overflows its 3-bit field: packed unchecked, (0, 0b1010) is the
+    # key of the cell ({0}, {1})
+    x = build_hom(complete(2), complete(3))
+    with pytest.raises(DomainError, match="nonempty subset"):
+        x.key_of(cell)
+    with pytest.raises(DomainError):
+        cell in x
+    with pytest.raises(DomainError):
+        face_relation(x, (0b001, 0b010), cell)
+
+
+def test_empty_complex_has_dimension_minus_one():
+    x = build_hom(complete(3), complete(2))
+    assert len(x) == 0 and x.dim == -1
+
+
 def test_budget():
     with pytest.raises(BudgetError):
         build_hom(complete(3), complete(5), budget=10)

@@ -125,7 +125,7 @@ def test_betti_euler_identity():
 
 def test_poset_validation():
     with pytest.raises(DomainError):
-        Poset([0, 0], [[], [0]], None)  # cover does not increase grade
+        Poset([0, 0], [[], [0]])  # cover does not increase grade
     p = Poset([0, 0, 1], [[], [], [0, 1]])
     assert p.less(0, 2) and not p.less(2, 0) and p.leq(2, 2)
     assert not p.less(0, 1)
@@ -199,19 +199,16 @@ def posets(draw, max_n=7, top=3):
 def test_chains_inside_mask(p, mask):
     mask &= (1 << len(p)) - 1
     want = [c for c in brute_chains(p) if all(mask >> e & 1 for e in c)]
-    assert sorted(p.chains(mask)) == sorted(want)
-    assert len(order_complex(p, mask)) == len(want)
-
-
-@settings(deadline=None, derandomize=True)
-@given(posets(), st.integers(0, 127), st.integers(0, 127))
-def test_chains_from_start(p, mask, start):
-    mask &= (1 << len(p)) - 1
-    want = [c for c in brute_chains(p) if all(mask >> e & 1 for e in c)
-            and start >> c[0] & 1]
-    assert sorted(p.chains(mask, start)) == sorted(want)
-    assert sorted(p.chains(start=start)) == sorted(
-        c for c in brute_chains(p) if start >> c[0] & 1)
+    assert p.chains(mask) == sorted(want)
+    c = order_complex(p, mask)
+    assert c.simplices == sorted(want, key=lambda t: (len(t), t))
+    assert c.dim == max(map(len, want), default=0) - 1
+    # the facets of a chain are the chains one element shorter inside it
+    dims, facets = c.chain_data()
+    for i, t in enumerate(c.simplices):
+        assert dims[i] == len(t) - 1
+        assert facets[i] == sorted(c.simplices.index(s) for s in want
+                                   if len(s) == len(t) - 1 and set(s) < set(t))
 
 
 def test_face_poset_grading():
