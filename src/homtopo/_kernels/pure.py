@@ -4,7 +4,8 @@ Cells of the multihomomorphism complex from G (n_g vertices) to H (n_h
 vertices) are packed into single ints: the mask chosen for G-vertex x
 occupies bit field ``(n_g-1-x)*n_h .. (n_g-x)*n_h - 1``, so vertex 0 sits
 in the highest field and numeric order on keys equals lexicographic order
-on mask tuples.
+on mask tuples.  The 0-cells, the homomorphisms G -> H, are the keys whose
+every field holds one bit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,29 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
     if it would take the count past `budget`, the error reports
     found = budget + 1, the count at which a cell-by-cell check stops.  A
     looped batch is checked cell by cell.
+    """
+    return _walk(adj_g, adj_h, budget, False)
+
+
+def enumerate_zero_cells(adj_g, adj_h, budget: int) -> list[int]:
+    """The 0-cells of Hom(G,H), the homomorphisms G -> H, as ascending keys.
+
+    The walk of enumerate_hom_cells with one target per vertex: each level
+    takes the single bits of its allowed mask from the top down, a looped
+    vertex is allowed only H's looped vertices, and the last vertex emits
+    one key per bit of its allowed mask.  BudgetError reports
+    found = budget + 1 as soon as more than `budget` maps exist.
+    """
+    return _walk(adj_g, adj_h, budget, True)
+
+
+def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
+    """The search behind both entries; `zero` keeps single bits only.
+
+    sub[d] is level d's candidate; a 0-cell level replaces the subset
+    step's next mask by its top bit.  Reached only through the two names
+    above, so that a wrapper on one name (perfbench's tracer wraps
+    enumerate_hom_cells) never sees the other's calls.
     """
     n_g = len(adj_g)
     n_h = len(adj_h)
@@ -55,6 +79,9 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
     out: list[int] = []
     last = n_g - 1
     allowed = [full_h] * n_g
+    if zero:
+        h_looped = sum(1 << y for y in range(n_h) if adj_h[y] >> y & 1)
+        allowed = [h_looped if lp else full_h for lp in looped]
     saved: list[list[tuple[int, int]]] = [[] for _ in range(n_g)]
     sub = [0] * n_g
     key = [0] * n_g
@@ -64,7 +91,16 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
         if d == last:
             a = allowed[d]
             base = key[d]
-            if looped[d]:
+            if zero:
+                if len(out) + a.bit_count() > budget:
+                    raise BudgetError(f"homomorphism budget {budget} exceeded",
+                                      found=budget + 1)
+                a <<= shift[d]
+                while a:
+                    low = a & -a
+                    out.append(base | low)
+                    a ^= low
+            elif looped[d]:
                 s = a
                 while s:
                     if not s & ~cn(s):
@@ -85,6 +121,8 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
             s = 0
         else:
             s = sub[d]
+            if zero:
+                s = sub[d] = 1 << s.bit_length() >> 1
         if s == 0:
             d -= 1
             if d < 0:

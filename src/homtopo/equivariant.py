@@ -195,8 +195,8 @@ def _swap_map(m: int) -> tuple[int, ...]:
     return (1, 0) + tuple(range(2, m))
 
 
-def coloring_bound(g: Graph, m: int = 2, budget: int | None = None) -> int:
-    """Chromatic lower bound sw_height(Hom(K_m,g), swap) + m."""
+def _swap_action(g: Graph, m: int, budget: int | None):
+    """Hom(K_m,g) and the swap of K_m's vertices 0 and 1 acting on it."""
     if m < 2:
         raise DomainError("need m >= 2 for the swap action")
     if not g.is_loopless():
@@ -204,17 +204,16 @@ def coloring_bound(g: Graph, m: int = 2, budget: int | None = None) -> int:
     x = build_hom(complete(m), g, budget)
     if not x.keys:
         raise DomainError(f"no homomorphisms from K_{m}; bound undefined")
-    a = induced_involution(x, _swap_map(m))
-    return sw_height(x, a) + m
+    return x, induced_involution(x, _swap_map(m))
+
+
+def coloring_bound(g: Graph, m: int = 2, budget: int | None = None) -> int:
+    """Chromatic lower bound sw_height(Hom(K_m,g), swap) + m."""
+    return sw_height(*_swap_action(g, m, budget)) + m
 
 
 def equivariant_report(g: Graph, m: int = 2, budget: int | None = None) -> dict:
-    if m < 2:
-        raise DomainError("need m >= 2 for the swap action")
-    x = build_hom(complete(m), g, budget)
-    if not x.keys:
-        raise DomainError(f"no homomorphisms from K_{m}; bound undefined")
-    a = induced_involution(x, _swap_map(m))
+    x, a = _swap_action(g, m, budget)
     q = orbit_complex(x, a)
     k = _height(q, None)
     return {"free": a.free,

@@ -12,7 +12,7 @@ class DomainError(HomtopoError):
 class BudgetError(HomtopoError):
     """A size or work budget was exceeded.
 
-    `found` is the exact total (cells, candidates, ...) where it was counted
+    `found` is the exact total (cells, maps, ...) where it was counted
     before any work, as build_hom does for a loopless complete target and
     kmn_matching for Hom(K_m,K_n); otherwise it is the count at which
     enumeration stopped, when that is meaningful.

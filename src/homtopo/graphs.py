@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetError, DomainError, ResourceError
+from ._kernels import enumerate_zero_cells
+from .errors import DomainError, ResourceError
 
 MAX_VERTICES = 64
 ISO_CAP = 16
-HOM_BUDGET = 10**8
 
 
 def bits(mask: int):
@@ -247,71 +247,16 @@ def is_homomorphism(g: Graph, h: Graph, f) -> bool:
     return True
 
 
-def enumerate_homomorphisms(g: Graph, h: Graph, budget: int = HOM_BUDGET):
-    """All graph homomorphisms g -> h as tuples, lexicographically sorted.
+def enumerate_homomorphisms(g: Graph, h: Graph, budget: int) -> list[int]:
+    """All graph homomorphisms g -> h, as the 0-cells of Hom(g,h).
 
-    Backtracking over single vertices in natural order with forward
-    checking: every vertex keeps a mask of the targets still allowed (a
-    looped vertex starts from h's looped vertices), and placing u at y ANDs
-    h.adj[y] into the masks of u's later neighbours, cutting the branch when
-    one of them empties.  So every candidate tried at the last vertex is a
-    homomorphism.  `budget` caps the candidates tried; BudgetError's
-    `found` is the number listed before the cap.
+    Map f is the key sum(1 << f(x) << (g.n-1-x)*h.n): vertex x's h.n-bit
+    field holds the one bit f(x), vertex 0's field highest, as in
+    HomComplex keys.  So ascending keys are the maps in lexicographic
+    order; the 0-vertex source has the one key 0.  BudgetError reports
+    found = budget + 1 as soon as more than `budget` maps exist.
     """
-    if g.n == 0:
-        return [()]
-    full = (1 << h.n) - 1
-    looped = sum(1 << y for y in range(h.n) if h.adj[y] >> y & 1)
-    masks = [looped if g.adj[u] >> u & 1 else full for u in range(g.n)]
-    # later[u] = u's neighbours after it in natural order
-    later = [list(bits(g.adj[u] >> u + 1 << u + 1)) for u in range(g.n)]
-    last = g.n - 1
-    out = []
-    work = 0
-    # the targets of a mask as 1-tuples, ascending; filled on first use
-    singles: dict[int, list[tuple[int]]] = {}
-
-    def over():
-        return BudgetError(f"homomorphism budget {budget} exceeded",
-                           found=len(out))
-
-    def go(u: int, pre: tuple):
-        nonlocal work
-        m = masks[u]
-        ys = singles.get(m)
-        if ys is None:
-            ys = singles[m] = [(y,) for y in bits(m)]
-        if u == last:
-            room = budget - work
-            work += len(ys)
-            out.extend(map(pre.__add__, ys[:room] if work > budget else ys))
-            if work > budget:
-                raise over()
-            return
-        nbrs = later[u]
-        saved = [masks[w] for w in nbrs]
-        for y in ys:
-            work += 1
-            if work > budget:
-                raise over()
-            row = h.adj[y[0]]
-            for w, m in zip(nbrs, saved):
-                m &= row
-                if not m:
-                    break
-                masks[w] = m
-            else:
-                go(u + 1, pre + y)
-            for w, m in zip(nbrs, saved):
-                masks[w] = m
-
-    try:
-        go(0, ())
-    finally:
-        # go refers to itself, and that cycle would keep `out` alive until
-        # the cyclic collector ran, after the caller has dropped it
-        del go
-    return out
+    return enumerate_zero_cells(g.adj, h.adj, budget)
 
 
 def chromatic_number(g: Graph) -> int:

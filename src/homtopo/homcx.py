@@ -12,13 +12,11 @@ import os
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import prod
-from operator import lshift
 
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, ConsistencyError, DomainError
-from .graphs import (HOM_BUDGET, Graph, bits, common_neighbors,
-                     enumerate_homomorphisms, induced_subgraph,
-                     is_homomorphism)
+from .graphs import (Graph, bits, common_neighbors, enumerate_homomorphisms,
+                     induced_subgraph, is_homomorphism)
 from .topology import SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
@@ -236,13 +234,6 @@ class HomComplex:
         cell = self.cell_of(self.keys[i])
         return "(" + ",".join("{" + ",".join(map(str, bits(m))) + "}"
                               for m in cell) + ")"
-
-    def to_json_obj(self, emit_cells: bool = False) -> dict:
-        from .topology import f_vector
-        obj: dict = {"f_vector": list(f_vector(self))}
-        if emit_cells:
-            obj["cells"] = [list(self.cell_of(k)) for k in self.keys]
-        return obj
 
 
 def _components(adj) -> list[int]:
@@ -472,28 +463,27 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex(g.n, sims)
 
 
-def count_hom_components(g: Graph, h: Graph, budget: int = HOM_BUDGET) -> int:
+def count_hom_components(g: Graph, h: Graph, budget: int | None = None) -> int:
     """b_0 of Hom(g,h) without building cells.
 
-    The 0-cells are the homomorphisms, packed one w-bit field per vertex of
-    g.  Maps f, f' that differ only on an independent set I of unlooped
-    vertices are 0-cells of one cell (eta = {f(x), f'(x)} on I, f(x)
-    elsewhere: no edge has both ends in I), so they lie in one component.
-    An edge of the complex joins maps that differ at one vertex x, and when
-    x is looped their two values must be H-adjacent.  So the maps are
-    grouped once per greedy colour class I of g's unlooped vertices, by
-    their key with I's fields cleared; the largest class's groups are the
-    union-find elements, and each other class joins every map's group to
-    the group of its class representative (the last map of its class
-    group).  A looped vertex adds the pairs of groups whose maps differ
-    there by an H-edge.  The maps are packed and dropped before grouping,
-    and one class's pairs are held at a time.
+    The 0-cells are the homomorphisms, one key per map with the bit f(x)
+    in vertex x's h.n-bit field (graphs.enumerate_homomorphisms); `budget`
+    caps the maps listed, as resolved by cell_budget.  Maps f, f' that
+    differ only on an independent set I of unlooped vertices are 0-cells
+    of one cell (eta = {f(x), f'(x)} on I, f(x) elsewhere: no edge has both
+    ends in I), so they lie in one component.  An edge of the complex joins
+    maps that differ at one vertex x, and when x is looped their two values
+    must be H-adjacent.  So the maps are grouped once per greedy colour
+    class I of g's unlooped vertices, by their key with I's fields cleared;
+    the largest class's groups are the union-find elements, and each other
+    class joins every map's group to the group of its class representative
+    (the last map of its class group).  A looped vertex adds the pairs of
+    groups whose maps differ there by an H-edge.  One class's pairs are
+    held at a time.
     """
-    homs = enumerate_homomorphisms(g, h, budget)
-    w = max(1, (h.n - 1).bit_length())
+    keys = enumerate_homomorphisms(g, h, cell_budget(budget))
+    w = h.n
     shifts = [(g.n - 1 - x) * w for x in range(g.n)]
-    keys = [sum(map(lshift, f, shifts)) for f in homs]
-    del homs
     field = (1 << w) - 1
     classes: list[int] = []
     for x in range(g.n):
@@ -533,7 +523,7 @@ def count_hom_components(g: Graph, h: Graph, budget: int = HOM_BUDGET) -> int:
                 items = sorted(vals.items())
                 for a, i in items:
                     for b, j in items:
-                        if a < b and h.adj[a] >> b & 1:
+                        if a < b and h.adj[a.bit_length() - 1] & b:
                             yield i, j
 
     pairs = chain(chain.from_iterable(map(class_pairs, clears[1:])),

@@ -151,6 +151,19 @@ def cycle_complement_oracle(g):
 
 # ------------------------------------------------------------ enumeration
 
+def as_maps(keys, g, h):
+    """Decode 0-cell keys: vertex x's h.n-bit field, highest first, holds
+    the one bit f(x), and no bit lies above the fields."""
+    field = (1 << h.n) - 1
+    maps = []
+    for k in keys:
+        assert k >> g.n * h.n == 0
+        masks = [k >> (g.n - 1 - x) * h.n & field for x in range(g.n)]
+        assert all(m.bit_count() == 1 for m in masks)
+        maps.append(tuple(m.bit_length() - 1 for m in masks))
+    return maps
+
+
 @pytest.mark.parametrize("g,h", [
     (complete(3), complete(4)),
     (cycle(5), complete(3)),
@@ -160,40 +173,35 @@ def cycle_complement_oracle(g):
     (from_edges(2, []), complete(2)),
 ])
 def test_enumerate_homomorphisms_oracle(g, h):
-    assert enumerate_homomorphisms(g, h) == sorted(brute_homs(g, h))
+    keys = enumerate_homomorphisms(g, h, 10**6)
+    assert keys == sorted(keys)
+    assert as_maps(keys, g, h) == sorted(brute_homs(g, h))
 
 
 def test_enumerate_homomorphisms_edge_cases():
     # a looped source vertex cannot land on a plain target vertex
-    assert enumerate_homomorphisms(q_graph(), complete(3)) == []
-    assert enumerate_homomorphisms(Graph(0, ()), complete(3)) == [()]
+    assert enumerate_homomorphisms(q_graph(), complete(3), 10) == []
+    assert enumerate_homomorphisms(Graph(0, ()), complete(3), 10) == [0]
+    # C5 -> K4 has 3^5 - 3 = 240 maps: the cap is on maps listed, and the
+    # error reports one past it whatever the order of the search
+    assert len(enumerate_homomorphisms(cycle(5), complete(4), 240)) == 240
     with pytest.raises(BudgetError) as ei:
         enumerate_homomorphisms(cycle(5), complete(4), budget=10)
-    # the first ten candidates: 0,1,0,1 at vertices 0-3, 2 and 3 at vertex
-    # 4 (two maps), 2 at vertex 3, 1 and 3 at vertex 4 (two maps), 3 at
-    # vertex 3; the eleventh, (0,1,0,3,1), is over the cap
-    assert ei.value.found == 4
+    assert ei.value.found == 11
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(any_graphs(5), any_graphs(4), st.integers(0, 300))
 def test_enumerate_homomorphisms_property(g, h, budget):
     homs = sorted(brute_homs(g, h))
-    assert enumerate_homomorphisms(g, h) == homs
-
-    def listed(b):
-        try:
-            out = enumerate_homomorphisms(g, h, b)
-        except BudgetError as e:
-            return e.found
-        assert out == homs
-        return len(out)
-
-    # a candidate tried lists at most one map, so one more unit of budget
-    # lists at most one more, from none at budget 0 up to all of them
-    assert listed(0) == 0
-    assert listed(budget) <= listed(budget + 1) <= listed(budget) + 1
-    assert listed(budget) <= len(homs)
+    assert as_maps(enumerate_homomorphisms(g, h, len(homs)), g, h) == homs
+    # more than `budget` maps: refused, found = budget + 1
+    if budget < len(homs):
+        with pytest.raises(BudgetError) as ei:
+            enumerate_homomorphisms(g, h, budget)
+        assert ei.value.found == budget + 1
+    else:
+        assert as_maps(enumerate_homomorphisms(g, h, budget), g, h) == homs
 
 
 def test_chromatic_number():

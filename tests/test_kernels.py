@@ -88,3 +88,20 @@ def test_enumerator_matches_oracle_and_budget(g, h):
         with pytest.raises(BudgetError) as e:
             pure.enumerate_hom_cells(g.adj, h.adj, b)
         assert e.value.found == b + 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_graphs(4), small_graphs(3))
+@example(LOOPED_LEAF, HALF_LOOPED)
+@example(from_edges(1, [(0, 0)]), HALF_LOOPED)
+@example(from_edges(1, []), complete(3))
+@example(complete(3), complete(2))
+def test_zero_cells_are_the_cells_with_one_bit_per_field(g, h):
+    # a cell has one bit in each of its g.n fields iff its popcount is g.n
+    cells = pure.enumerate_hom_cells(g.adj, h.adj, 10**6)
+    want = [k for k in cells if k.bit_count() == g.n]
+    assert pure.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
+    for b in range(len(want)):
+        with pytest.raises(BudgetError) as e:
+            pure.enumerate_zero_cells(g.adj, h.adj, b)
+        assert e.value.found == b + 1
