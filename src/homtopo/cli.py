@@ -203,6 +203,9 @@ def cmd_verify(args) -> int:
             raise DomainError(f"--set wants key=value, got {item!r}")
         key, val = item.split("=", 1)
         overrides[key] = _parse_value(val)
+    if "full" in overrides:
+        raise DomainError("the suite is chosen by the fast|full positional, "
+                          "not by the key 'full'")
     overrides["full"] = args.suite == "full"
     report = run_checks(args.only or None, overrides)
     if args.stable:

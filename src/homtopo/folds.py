@@ -6,8 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError
-from .graphs import (Graph, bits, find_isomorphism, induced_subgraph,
-                     validate_involution)
+from .graphs import Graph, find_isomorphism, induced_subgraph
 
 CORE_ISO_CAP = 12
 
@@ -98,39 +97,3 @@ def core_uniqueness_check(g: Graph, trials: int) -> bool:
         if find_isomorphism(base, other) is None:
             return False
     return True
-
-
-def invariant_core(g: Graph, gamma) -> tuple[int, Graph]:
-    """Greedy gamma-invariant reduction: drop orbits dominated from outside.
-
-    Returns (vertex mask of the invariant set reached, induced subgraph).
-    """
-    gamma = validate_involution(g, gamma)
-    cur = g
-    cur_gamma = list(gamma)
-    orig = list(range(g.n))
-    while True:
-        progress = False
-        for v in range(cur.n):
-            gv = cur_gamma[v]
-            if gv < v:
-                continue
-            orbit = {v, gv}
-            if all(any(u not in orbit for u in _dominators_of(cur, x))
-                   for x in orbit):
-                keep = cur.vertex_mask
-                for x in orbit:
-                    keep &= ~(1 << x)
-                kept = list(bits(keep))
-                pos = {w: i for i, w in enumerate(kept)}
-                cur = induced_subgraph(cur, keep)
-                cur_gamma = [pos[cur_gamma[w]] for w in kept]
-                orig = [orig[w] for w in kept]
-                progress = True
-                break
-        if not progress:
-            break
-    mask = 0
-    for w in orig:
-        mask |= 1 << w
-    return mask, cur

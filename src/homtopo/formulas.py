@@ -30,7 +30,7 @@ STAR_MINUS = "star-"
 MIDDLE = "middle"
 
 MN_MAX = 6
-# largest n for f, chi, S(n,k) and the generating identity; each answers
+# largest n for f, chi and the generating identity; each answers
 # in about 1 s at the cap
 FORMULA_N_MAX = 1024
 # a table checks f and chi on every (m, n), so it stops sooner
@@ -75,16 +75,6 @@ def _kmn_diagonals(m: int, corner: int, sign: int):
         for j in range(2, m + 1):
             nxt.append(j * nxt[-1] + sign * (j - 1) * diag[j - 1])
         diag = nxt
-
-
-def stirling2(n: int, k: int) -> int:
-    """Set partitions of an n-set into k blocks, S(n,k)."""
-    if n < 0 or k < 0:
-        raise DomainError("Stirling numbers need nonnegative arguments")
-    _check_size(n)
-    if k > n:
-        return 0
-    return next(islice(_stirling_column(k), n, None))
 
 
 def _f_rec_values(m: int):

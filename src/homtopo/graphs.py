@@ -186,32 +186,6 @@ def complement(g: Graph, looped: bool = False) -> Graph:
     return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
 
 
-def common_neighbors(g: Graph, a: int) -> int:
-    """Mask of vertices adjacent to everything in `a`; full mask for a=0."""
-    if a & ~g.vertex_mask:
-        raise DomainError("vertex set outside the graph")
-    out = g.vertex_mask
-    for v in bits(a):
-        out &= g.adj[v]
-    return out
-
-
-def direct_product(g: Graph, h: Graph) -> Graph:
-    """Categorical product; vertex (x, y) is numbered x*|V(h)| + y."""
-    n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise DomainError(f"product has {n} > {MAX_VERTICES} vertices")
-    adj = [0] * n
-    for x in range(g.n):
-        for y in range(h.n):
-            row = 0
-            for x2 in bits(g.adj[x]):
-                for y2 in bits(h.adj[y]):
-                    row |= 1 << (x2 * h.n + y2)
-            adj[x * h.n + y] = row
-    return Graph(n, tuple(adj))
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g's vertices keep their numbers; h's are shifted up by |V(g)|."""
     n = g.n + h.n
@@ -234,17 +208,6 @@ def induced_subgraph(g: Graph, s: int) -> Graph:
             row |= 1 << pos[w]
         adj.append(row)
     return Graph(len(keep), tuple(adj))
-
-
-def is_homomorphism(g: Graph, h: Graph, f) -> bool:
-    """Does the vertex map f (sequence over V(g)) send edges to edges?"""
-    if len(f) != g.n or any(not 0 <= x < h.n for x in f):
-        raise DomainError("map is not a total function V(g) -> V(h)")
-    for u in range(g.n):
-        for v in bits(g.adj[u] >> u << u):
-            if not h.adj[f[u]] >> f[v] & 1:
-                return False
-    return True
 
 
 def enumerate_homomorphisms(g: Graph, h: Graph, budget: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Multihomomorphism complexes Hom(G,H), their maps, links, and relatives.
+"""Multihomomorphism complexes Hom(G,H) and the neighborhood complex.
 
 A cell assigns to every vertex x of G a nonempty mask eta(x) over V(H) such
 that eta(x) x eta(y) lands in E(H) for every edge (x,y) of G (loops
@@ -9,14 +9,12 @@ canonical order: dimension, then lexicographic on the mask tuple.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import prod
 
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, ConsistencyError, DomainError
-from .graphs import (Graph, bits, common_neighbors, enumerate_homomorphisms,
-                     induced_subgraph, is_homomorphism)
+from .graphs import Graph, bits, enumerate_homomorphisms, induced_subgraph
 from .topology import SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
@@ -26,27 +24,6 @@ CELL_BUDGET = 5_000_000
 # time.  At 21 vertices it takes 0.8 s and 70 MB, which a dense source that
 # the enumerator rules out in a millisecond would pay in full.
 COUNT_MAX_VERTICES = 16
-
-
-@dataclass(frozen=True)
-class GraphMap:
-    """A total vertex map between two graphs (not necessarily edge-preserving)."""
-
-    source: Graph
-    target: Graph
-    f: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.f) != self.source.n:
-            raise DomainError("map length != source vertex count")
-        if any(not 0 <= y < self.target.n for y in self.f):
-            raise DomainError("map value outside the target graph")
-
-    def is_hom(self) -> bool:
-        return is_homomorphism(self.source, self.target, self.f)
-
-    def __call__(self, v: int) -> int:
-        return self.f[v]
 
 
 class HomComplex:
@@ -342,99 +319,6 @@ def face_relation(x: HomComplex, a, b) -> bool:
     return all(ma & ~mb == 0 for ma, mb in zip(a, b))
 
 
-def _mask_image(mask: int, f) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << f[v]
-    return out
-
-
-def covariant_map(phi: GraphMap, fixed: Graph):
-    """Cellwise map Hom(fixed, phi.source) -> Hom(fixed, phi.target)."""
-    if not phi.is_hom():
-        raise DomainError("the pushed map must be a graph homomorphism")
-
-    def apply(cell):
-        return tuple(_mask_image(m, phi.f) for m in cell)
-
-    return apply
-
-
-def contravariant_map(phi: GraphMap, fixed: Graph):
-    """Cellwise map Hom(phi.target, fixed) -> Hom(phi.source, fixed)."""
-    if not phi.is_hom():
-        raise DomainError("the pulled map must be a graph homomorphism")
-
-    def apply(cell):
-        return tuple(cell[phi.f[v]] for v in range(phi.source.n))
-
-    return apply
-
-
-@dataclass(frozen=True)
-class NonCubical:
-    """Diagnostic for a 0-cell without a cubical neighborhood."""
-
-    vertex: int
-    size: int
-
-
-def link_data(x: HomComplex, phi):
-    """(M(phi), per-vertex A_phi, link of the 0-cell phi) in x.
-
-    A_phi(v) = common H-neighbors of the phi-image of N_G(v); M(phi) holds
-    the v with two choices.  When every |A_phi(v)| is 1 or 2 the link is the
-    simplicial complex on M(phi) whose faces sigma allow all switches
-    simultaneously; otherwise the third component is a NonCubical diagnostic.
-    """
-    if not x.h.is_loopless():
-        raise DomainError("link analysis needs a loopless target")
-    if len(phi) != x.n_g or any(m.bit_count() != 1 for m in phi):
-        raise DomainError("phi must be a 0-cell (singleton masks)")
-    if phi not in x:
-        raise DomainError("phi is not a cell of this complex")
-    g, h = x.g, x.h
-    a_phi = []
-    for v in range(g.n):
-        u = 0
-        for w in bits(g.adj[v]):
-            u |= phi[w]
-        a_phi.append(common_neighbors(h, u))
-    m_mask = 0
-    for v, a in enumerate(a_phi):
-        if a.bit_count() == 2:
-            m_mask |= 1 << v
-    bad = next(((v, a.bit_count()) for v, a in enumerate(a_phi)
-                if a.bit_count() not in (1, 2)), None)
-    if bad is not None:
-        return m_mask, tuple(a_phi), NonCubical(*bad)
-    alt = {v: a_phi[v] & ~phi[v] for v in bits(m_mask)}
-    # sigma is a face iff switched choices stay compatible across G-edges
-    ok_pair = {}
-    for v in bits(m_mask):
-        av = alt[v].bit_length() - 1
-        for w in bits(m_mask):
-            aw = alt[w].bit_length() - 1
-            if g.adj[v] >> w & 1:
-                ok_pair[v, w] = bool(h.adj[av] >> aw & 1)
-            else:
-                ok_pair[v, w] = True
-    sims = []
-
-    def grow(mask, cand):
-        for v in bits(cand):
-            if any(not ok_pair[v, w] for w in bits(mask)):
-                continue
-            if not ok_pair[v, v]:
-                continue
-            m2 = mask | (1 << v)
-            sims.append(m2)
-            grow(m2, cand & ~((1 << (v + 1)) - 1))
-
-    grow(0, m_mask)
-    return m_mask, tuple(a_phi), SimplicialComplex(g.n, sims)
-
-
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
     """Simplices = vertex sets with a common neighbor."""
     sims = set()
@@ -444,22 +328,6 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
         while sub:
             sims.add(sub)
             sub = (sub - 1) & nb
-    return SimplicialComplex(g.n, sims)
-
-
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Simplices = independent sets of a loopless graph."""
-    if not g.is_loopless():
-        raise DomainError("independence complex needs a loopless graph")
-    sims = []
-
-    def grow(mask, cand):
-        for v in bits(cand):
-            m2 = mask | (1 << v)
-            sims.append(m2)
-            grow(m2, cand & ~g.adj[v] & ~((1 << (v + 1)) - 1))
-
-    grow(0, g.vertex_mask)
     return SimplicialComplex(g.n, sims)
 
 

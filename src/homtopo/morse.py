@@ -192,11 +192,6 @@ def check_quillen_B(f: PosetMap):
     return True
 
 
-def check_quillen_B_op(f: PosetMap):
-    g = PosetMap(f.source.op(), f.target.op(), f.values)
-    return check_quillen_B(g)
-
-
 def check_quillen_A_proxy(f: PosetMap) -> list[dict]:
     """Per-fiber report: unique maximum (certifies contractibility) or Betti."""
     fib = _fiber_masks(f)

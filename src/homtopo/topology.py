@@ -1,4 +1,4 @@
-"""Poset-level topology: order complexes, GF(2) homology, components, flags.
+"""Poset-level topology: order complexes, GF(2) homology, components.
 
 Every complex object in the package exposes `chain_data() -> (dims, facets)`
 where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
@@ -33,7 +33,7 @@ from functools import cached_property, reduce
 
 from ._kernels import gf2_rank
 from .errors import ConsistencyError, DomainError, ResourceError
-from .graphs import bits, disjoint_union, match_arcs
+from .graphs import bits, match_arcs
 
 MATRIX_BIT_CAP = 1 << 30
 # betti_gf2 splits a complex into its factors only from this many cells up.
@@ -234,10 +234,6 @@ def f_vector(c) -> tuple[int, ...]:
     return tuple(out)
 
 
-def euler_characteristic(c) -> int:
-    return sum((-1) ** d * n for d, n in enumerate(f_vector(c)))
-
-
 def merge_classes(n: int, pairs) -> list[int]:
     """Union-find over range(n): labels[i] names the class of i once every
     (i, j) in `pairs` is merged; equal labels mean the same class."""
@@ -426,28 +422,6 @@ def betti_gf2(c) -> BettiProfile:
     return BettiProfile(tuple(betti), euler, tuple(f))
 
 
-def is_flag(s: SimplicialComplex) -> bool:
-    """True iff every pairwise-adjacent vertex set of the 1-skeleton spans.
-
-    A clique minus its top vertex is a clique, so by induction on size it
-    is enough that each simplex extends by every vertex above its top that
-    is adjacent to all of it.
-    """
-    adj: dict[int, int] = {}
-    for m in s.simplices:
-        if m.bit_count() == 2:
-            u, v = bits(m)
-            adj[u] = adj.get(u, 0) | 1 << v
-            adj[v] = adj.get(v, 0) | 1 << u
-    for m in s.simplices:
-        ext = -1 << m.bit_length()  # the vertices above the top of m
-        for v in bits(m):
-            ext &= adj.get(v, 0)
-        if any(m | 1 << w not in s for w in bits(ext)):
-            return False
-    return True
-
-
 POSET_ISO_CAP = 512
 
 
@@ -460,19 +434,3 @@ def find_poset_isomorphism(p: Poset, q: Poset) -> list[int] | None:
             f"poset isomorphism search capped at {POSET_ISO_CAP} elements")
     covers = ([sum(1 << j for j in c) for c in x.covers] for x in (p, q))
     return match_arcs(*covers, p.grades, q.grades)
-
-
-def product_fvector_check(g, h, k) -> bool:
-    """Cell-by-cell check that Hom(g|_|h, k) is the product of the factors:
-    HomComplex.factors checks its cells against its components' complexes
-    (count and projections), then its f-vector must be the convolution of
-    those of Hom(g,k) and Hom(h,k)."""
-    from .homcx import build_hom
-
-    u = build_hom(disjoint_union(g, h), k)
-    try:
-        u.factors()
-    except ConsistencyError:
-        return False
-    return f_vector(u) == _convolve(f_vector(build_hom(g, k)),
-                                    f_vector(build_hom(h, k)))

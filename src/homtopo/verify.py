@@ -58,6 +58,8 @@ def _cfg(overrides: dict | None = None) -> dict:
         if type(v) is not type(cfg[k]):
             raise DomainError(f"budget key {k!r} wants "
                               f"{type(cfg[k]).__name__}, got {v!r}")
+        if type(v) is int and k != "seed" and v < 0:
+            raise DomainError(f"budget key {k!r} must be >= 0, got {v}")
         cfg[k] = v
     if not cfg["full"]:
         for k, v in FAST_OVERRIDES.items():

@@ -233,6 +233,7 @@ BAD_FILES = {
     "n-not-int.json": b'{"n": "x", "edges": []}',
     "header.txt": b"n x\n0 1\n",
     "triple.json": b'{"n": 3, "edges": [[0, 1, 2]]}',
+    "full.cfg": b"full = true\n",
 }
 
 
@@ -253,6 +254,8 @@ BAD_FILES = {
     (("formulas", "gen", "--m", "2", "--upto", "-1"), {}),
     (("reduce", "core", "--graph", "L5", "--policy", "random:--5"), {}),
     (("reduce", "core", "--graph", "L5", "--policy", "random:\u00b2"), {}),
+    (("verify", "fast", "--set", "full=true"), {}),
+    (("verify", "fast", "--config", "{tmp}/full.cfg"), {}),
 ])
 def test_bad_outside_input_exits_2(argv, env, tmp_path):
     for name, data in BAD_FILES.items():
@@ -268,6 +271,11 @@ def test_bad_outside_input_exits_2(argv, env, tmp_path):
     (("hom", "--source", "K2", "--target", "K3"),
      {"HOMTOPO_BUDGET_CELLS": "-5"}),
     (("equivariant", "bound", "--graph", "K3", "--budget", "-1"), {}),
+    (("verify", "fast", "--set", "fold_pairs=-3", "--only", "fold-soundness"),
+     {}),
+    (("verify", "fast", "--set", "core_graphs=-2"), {}),
+    (("verify", "fast", "--set", "hom_work_budget=-1"), {}),
+    (("verify", "fast", "--set", "core_trials=-2"), {}),
 ])
 def test_negative_budget_exits_2(argv, env):
     code, err = run_cli(*argv, **env)

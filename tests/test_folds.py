@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 
 from homtopo.errors import BudgetError, DomainError, ResourceError
-from homtopo.folds import (dominated_pairs, fold, invariant_core,
-                           irreducible_core, random_policy, smallest_policy)
+from homtopo.folds import (dominated_pairs, fold, irreducible_core,
+                           random_policy, smallest_policy)
 from homtopo.graphs import (Graph, are_isomorphic, bits, complete, cycle,
                             from_edges, path, petersen)
 from homtopo.homcx import build_hom
@@ -120,15 +120,3 @@ def test_core_uniqueness_cap():
     assert core_uniqueness_check(path(6), trials=8)
     with pytest.raises(ResourceError):
         core_uniqueness_check(complete(13), trials=1)
-
-
-def test_invariant_core():
-    # path 0-1-2-3 with the reversal: the end orbit {0,3} folds away
-    mask, sub = invariant_core(path(4), (3, 2, 1, 0))
-    assert mask == 0b0110
-    assert are_isomorphic(sub, complete(2))
-    # C_4 under the antipode: nothing is dominated from outside the orbit
-    mask, sub = invariant_core(cycle(4), (2, 3, 0, 1))
-    assert mask == 0b1111 and sub == cycle(4)
-    with pytest.raises(DomainError):
-        invariant_core(path(4), (1, 0, 2, 3))  # not an automorphism

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from homtopo.errors import BudgetError, DomainError
 from homtopo.graphs import (Graph, are_isomorphic, bits, chromatic_number,
-                            complement, complete, cycle, direct_product,
-                            disjoint_union, enumerate_homomorphisms,
-                            find_isomorphism, from_edge_list, from_edges,
-                            from_json, induced_subgraph, kneser, load_graph,
-                            make_family, max_independent_set, parse_graph_name,
-                            path, petersen, q_graph, to_edge_list, to_json,
+                            complement, complete, cycle, disjoint_union,
+                            enumerate_homomorphisms, find_isomorphism,
+                            from_edge_list, from_edges, from_json,
+                            induced_subgraph, kneser, load_graph, make_family,
+                            max_independent_set, parse_graph_name, path,
+                            petersen, q_graph, to_edge_list, to_json,
                             validate_involution)
 from test_homcx import small_graphs as any_graphs
 
@@ -137,10 +137,6 @@ def test_operations():
     g = disjoint_union(complete(2), complete(3))
     assert g.n == 5 and g.num_edges() == 4
     assert induced_subgraph(g, 0b11100) == complete(3)
-    d = direct_product(complete(2), complete(3))
-    # (u,a)~(v,b) iff u~v and a~b; K2 x K3 is the 6-cycle
-    assert d.n == 6 and all(d.degree(v) == 2 for v in range(6))
-    assert are_isomorphic(d, cycle(6))
 
 
 def cycle_complement_oracle(g):

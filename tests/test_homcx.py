@@ -1,5 +1,5 @@
-"""Hom-complex construction against a brute-force cell oracle, plus maps,
-links, and the component shortcut."""
+"""Hom-complex construction against a brute-force cell oracle, plus the
+neighborhood complex and the component shortcut."""
 
 import itertools
 import os
@@ -15,10 +15,8 @@ from homtopo.errors import BudgetError, ConsistencyError, DomainError
 from homtopo.formulas import cycle_components, kmn_cells
 from homtopo.graphs import (Graph, bits, complete, cycle, disjoint_union,
                             from_edges, path, petersen, q_graph)
-from homtopo.homcx import (GraphMap, HomComplex, NonCubical, build_hom,
-                           contravariant_map, count_hom_components,
-                           covariant_map, face_relation, independence_complex,
-                           link_data, neighborhood_complex)
+from homtopo.homcx import (HomComplex, build_hom, count_hom_components,
+                           face_relation, neighborhood_complex)
 from homtopo.topology import (SPLIT_MIN_CELLS, betti_gf2,
                               connected_components, f_vector, face_poset)
 
@@ -165,70 +163,12 @@ def test_disjoint_source_is_product():
     assert len(u) == len(a) * len(b)
 
 
-def test_covariant_map():
-    inc = GraphMap(complete(2), complete(3), (0, 1))
-    push = covariant_map(inc, cycle(5))
-    src = build_hom(cycle(5), complete(2))
-    dst = build_hom(cycle(5), complete(3))
-    for cell in src.cells():
-        assert push(cell) in dst
-    with pytest.raises(DomainError):
-        covariant_map(GraphMap(complete(2), complete(2), (0, 0)), cycle(5))
-
-
-def test_contravariant_map():
-    inc = GraphMap(complete(2), complete(3), (0, 2))
-    pull = contravariant_map(inc, complete(4))
-    src = build_hom(complete(3), complete(4))
-    dst = build_hom(complete(2), complete(4))
-    for cell in src.cells():
-        assert pull(cell) in dst
-
-
-def test_graph_map_validation():
-    with pytest.raises(DomainError):
-        GraphMap(complete(2), complete(3), (0,))
-    with pytest.raises(DomainError):
-        GraphMap(complete(2), complete(3), (0, 5))
-    assert GraphMap(complete(2), complete(3), (2, 1)).is_hom()
-
-
-def test_link_cubical():
-    x = build_hom(complete(2), complete(3))
-    m_mask, a_phi, link = link_data(x, (0b001, 0b010))
-    # both vertices can switch: A(0) = V - {1}, A(1) = V - {0}
-    assert m_mask == 0b11
-    assert a_phi == (0b101, 0b110)
-    assert not isinstance(link, NonCubical)
-    # the two switches are jointly admissible: 2 -> 2 needs a loop, so no edge
-    masks = set(link.simplices)
-    assert 0b01 in masks and 0b10 in masks and 0b11 not in masks
-
-
-def test_link_non_cubical():
-    x = build_hom(complete(2), complete(4))
-    _, _, diag = link_data(x, (0b0001, 0b0010))
-    assert isinstance(diag, NonCubical) and diag.size == 3
-    with pytest.raises(DomainError):
-        link_data(x, (0b0011, 0b0100))
-    with pytest.raises(DomainError):
-        link_data(build_hom(q_graph(), q_graph()), (0b01, 0b01))
-
-
 def test_neighborhood_complex():
     nc = neighborhood_complex(cycle(5))
     # N(C_5) is again a 5-cycle
     assert betti_gf2(nc).betti == (1, 1)
     nc4 = neighborhood_complex(complete(4))
     assert betti_gf2(nc4).betti[0] == 1
-
-
-def test_independence_complex():
-    ic = independence_complex(complete(3))
-    assert betti_gf2(ic).betti == (3,)
-    assert connected_components(ic) == 3
-    with pytest.raises(DomainError):
-        independence_complex(q_graph())
 
 
 @pytest.mark.parametrize("g,h", [

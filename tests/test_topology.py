@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from homtopo import topology
 from homtopo.errors import ConsistencyError, DomainError, ResourceError
-from homtopo.graphs import complete, cycle, disjoint_union, path
+from homtopo.graphs import complete, cycle
 from homtopo.homcx import build_hom
 from homtopo.topology import (Poset, SimplicialComplex, betti_gf2,
-                              connected_components, euler_characteristic,
-                              f_vector, face_poset, find_poset_isomorphism,
-                              is_flag, order_complex, product_fvector_check)
+                              connected_components, f_vector, face_poset,
+                              find_poset_isomorphism, order_complex)
 
 
 def simplex(k):
@@ -76,9 +75,8 @@ def test_rp2_betti():
 def test_disjoint_pieces():
     two = SimplicialComplex(6, [0b000111, 0b111000])
     p = betti_gf2(two)
-    assert p.betti == (2, 0, 0)
+    assert p.betti == (2, 0, 0) and p.euler == 2
     assert connected_components(two) == 2
-    assert euler_characteristic(two) == 2
 
 
 def naive_components(c):
@@ -225,46 +223,6 @@ def test_order_complex_is_subdivision():
         assert betti_gf2(sd).betti == betti_gf2(c).betti
 
 
-def test_is_flag():
-    c5 = SimplicialComplex(5, [1 << u | 1 << ((u + 1) % 5) for u in range(5)])
-    assert is_flag(c5)  # no triangle to miss
-    hollow = sphere(1)  # empty triangle: 1-skeleton is K_3
-    assert not is_flag(hollow)
-    assert not is_flag(sphere(2))  # every triangle of K_4, no tetrahedron
-    assert is_flag(simplex(3))
-
-
-@st.composite
-def clique_tests(draw):
-    """A complex on up to 7 vertices from random faces, or the clique
-    complex of its 1-skeleton (flag), or that less one largest clique."""
-    n = draw(st.integers(1, 7))
-    s = SimplicialComplex(n, draw(st.lists(st.integers(1, (1 << n) - 1),
-                                           max_size=10)))
-    how = draw(st.sampled_from(["faces", "flag", "flag less one"]))
-    if how != "faces":
-        cliques = brute_cliques(s)
-        if how == "flag less one" and cliques:
-            cliques.remove(max(cliques, key=int.bit_count))
-        s = SimplicialComplex(n, cliques)
-    return s
-
-
-def brute_cliques(s):
-    """Oracle: every vertex set of s whose pairs all span edges of s."""
-    verts = [m.bit_length() - 1 for m in s.simplices if m.bit_count() == 1]
-    return [sum(1 << v for v in c)
-            for k in range(1, len(verts) + 1)
-            for c in itertools.combinations(verts, k)
-            if all(1 << u | 1 << v in s for u, v in itertools.combinations(c, 2))]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(clique_tests())
-def test_is_flag_matches_clique_oracle(s):
-    assert is_flag(s) == all(c in s for c in brute_cliques(s))
-
-
 @st.composite
 def poset_pairs(draw):
     """A graded poset on up to 6 elements and, relabelled, either a copy of
@@ -355,11 +313,6 @@ def test_poset_isomorphism_cap():
     p = face_poset(build_hom(complete(2), complete(6)))
     with pytest.raises(ResourceError):
         find_poset_isomorphism(p, p)
-
-
-def test_product_fvector_check():
-    assert product_fvector_check(complete(2), complete(2), complete(3))
-    assert product_fvector_check(path(2), cycle(4), complete(3))
 
 
 # ------------------------------------------------------------ guard rails
