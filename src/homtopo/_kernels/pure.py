@@ -174,9 +174,16 @@ def _pivots(cols) -> dict[int, int]:
     return pivots
 
 
-def gf2_rank(cols) -> int:
-    """Rank over GF(2) of the int-bitmask columns."""
-    return len(_pivots(cols))
+def gf2_rank(cols, pivot_rows: set[int] | None = None) -> int:
+    """Rank over GF(2) of the int-bitmask columns.
+
+    If `pivot_rows` is given, the row index of each reduced column's lowest
+    bit is added to it: one row per unit of rank.
+    """
+    pivots = _pivots(cols)
+    if pivot_rows is not None:
+        pivot_rows.update(low - 1 for low in pivots)
+    return len(pivots)
 
 
 def gf2_in_span(cols, target: int) -> bool:

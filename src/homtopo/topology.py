@@ -15,7 +15,11 @@ over GF(2), from the sorted facets of its facets), with no full boundary
 column.  It then removes Mrozek-Batko coreduction pairs (Mrozek & Batko,
 "Coreduction homology algorithm", DCG 41, 2009) and runs GF(2) elimination
 only on the cells that are left; MATRIX_BIT_CAP bounds those residue
-matrices, checked before any of their columns is built.
+matrices, checked before any of their columns is built.  The residue is
+ranked from its top dimension down with clearing (Chen & Kerber,
+"Persistent homology computation with a twist", EuroCG 2011): a reduced
+column of d_{k+1} whose lowest bit is row i makes column i of d_k a sum of
+the columns after it, so that column is never built.
 
 A complex may also offer `factors()`, complexes whose product it is cell by
 cell (HomComplex does for a disconnected source, after checking the
@@ -373,6 +377,13 @@ def betti_gf2(c) -> BettiProfile:
     full boundary column is built.  GF(2) elimination runs only on the
     coreduction residue, whose boundary matrices are checked against
     MATRIX_BIT_CAP before any of their columns is built.
+
+    The residue is ranked with clearing, from the top dimension down.  The
+    rank of d_{k+1} reports its pivot rows, the lowest rows of its reduced
+    columns; those k-cells are left out of d_k.  Each one's column lies in
+    the span of the columns after it, so by induction from the last one
+    down it lies in the span of the columns kept, and rank d_k is
+    unchanged.
     """
     split = getattr(c, "factors", None)
     parts = split() if split and len(c) >= SPLIT_MIN_CELLS else ()
@@ -389,29 +400,34 @@ def betti_gf2(c) -> BettiProfile:
     mate, seeds = _coreduce(dims, facets, cofacets)
     del cofacets  # one list per cell: freed before the residue is built
     top = len(f) - 1
-    # the residue's columns, with rows renumbered densely per dimension
-    residue = [i for i, m in enumerate(mate) if m < 0]
-    rf = [0] * (top + 1)
+    # the residue by dimension; a cell's row is its place in its dimension
+    cells: list[list[int]] = [[] for _ in range(top + 1)]
     local: dict[int, int] = {}
-    for i in residue:
-        d = dims[i]
-        local[i] = rf[d]
-        rf[d] += 1
+    for i in [i for i, m in enumerate(mate) if m < 0]:
+        same_dim = cells[dims[i]]
+        local[i] = len(same_dim)
+        same_dim.append(i)
+    rf = list(map(len, cells))
     for k in range(1, top + 1):
         if rf[k] * rf[k - 1] > MATRIX_BIT_CAP:
             raise ResourceError(f"residue boundary matrix {rf[k - 1]}x{rf[k]}"
                                 f" exceeds {MATRIX_BIT_CAP} bits")
-    rcols: list[list[int]] = [[] for _ in range(top + 1)]
-    for i in residue:
-        col = 0
-        for j in facets[i]:
-            if mate[j] < 0:
-                col |= 1 << local[j]
-        rcols[dims[i]].append(col)
+    # clearing, from the top down: the pivot rows of d_{k+1} are k-cells
+    # whose columns of d_k need not be built
     ranks = [0] * (top + 2)
-    for k in range(1, top + 1):
-        if rcols[k]:
-            ranks[k] = gf2_rank(rcols[k])
+    cleared: set[int] = set()
+    for k in range(top, 0, -1):
+        cols = []
+        for r, i in enumerate(cells[k]):
+            if r not in cleared:
+                col = 0
+                for j in facets[i]:
+                    if mate[j] < 0:
+                        col |= 1 << local[j]
+                cols.append(col)
+        cleared = set()
+        if cols:
+            ranks[k] = gf2_rank(cols, cleared)
     betti = [rf[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     betti[0] += seeds
     euler = sum((-1) ** k * fk for k, fk in enumerate(f))

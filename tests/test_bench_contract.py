@@ -52,7 +52,9 @@ def test_backend_names_read_by_perfbench():
 
 def test_rank_reached_through_topology():
     # the tracer counts rank columns by patching every module holding the
-    # kernel function, so betti_gf2 must call it through this name
+    # kernel function, so betti_gf2 must call it through this name; it
+    # passes pivot_rows, the set it clears the next dimension down with,
+    # through this name too, and gets the rank back as an int
     assert topology.gf2_rank is _kernels.gf2_rank
 
 

@@ -1,5 +1,5 @@
 """The bitmask kernels: cell enumeration against a brute-force oracle,
-budget errors, and GF(2) rank and span tests."""
+budget errors, and GF(2) rank, pivot row and span tests."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +17,37 @@ def test_rank_known_values():
     assert _kernels.gf2_rank([0b001, 0b010, 0b100]) == 3
     assert _kernels.gf2_rank([0b011, 0b101, 0b110]) == 2  # sums to zero
     assert _kernels.gf2_rank([0b111, 0b111]) == 1
+
+
+def pivot_rows(cols):
+    rows = set()
+    return _kernels.gf2_rank(cols, rows), rows
+
+
+def test_pivot_rows_known_values():
+    assert pivot_rows([]) == (0, set())
+    assert pivot_rows([0b001, 0b010, 0b100]) == (3, {0, 1, 2})
+    # 0b101 reduces by 0b011 to 0b110; 0b110 then reduces to zero
+    assert pivot_rows([0b011, 0b101, 0b110]) == (2, {0, 1})
+    assert pivot_rows([0b110, 0b110, 0b110]) == (1, {1})
+
+
+def span(cols):
+    out = {0}
+    for col in cols:
+        out |= {v ^ col for v in out}
+    return out
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 255), max_size=10))
+def test_pivot_rows_are_the_lowest_rows_of_the_span(cols):
+    # one pivot row per unit of rank, each the lowest bit of some vector in
+    # the span and every such lowest bit a pivot row: the rows an echelon
+    # basis of the span starts on, whatever the column order
+    rank, rows = pivot_rows(cols)
+    assert len(rows) == rank == _kernels.gf2_rank(cols)
+    assert rows == {(v & -v).bit_length() - 1 for v in span(cols) if v}
 
 
 def test_in_span():
