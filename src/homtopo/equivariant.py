@@ -36,13 +36,12 @@ from ._kernels import gf2_in_span
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import (OrderComplex, betti_gf2, f_vector, face_poset,
+from .topology import (SimplicialComplex, betti_gf2, f_vector, face_poset,
                        order_complex, skeleton_labels)
 
 
 @dataclass(frozen=True)
 class Involution:
-    carrier: object
     perm: tuple[int, ...]       # on cell indices
     free: bool
     fixed: tuple[int, ...]      # fixed cell indices, if any
@@ -59,14 +58,13 @@ def induced_involution(x: HomComplex, gamma) -> Involution:
         perm.append(idx[x.key_of(image)])
     perm = tuple(perm)
     fixed = tuple(i for i, j in enumerate(perm) if i == j)
-    return Involution(x, perm, not fixed, fixed)
+    return Involution(perm, not fixed, fixed)
 
 
-def _require_free(x, a: Involution) -> None:
+def _require_free(x: HomComplex, a: Involution) -> None:
     if not a.free:
-        i = a.fixed[0]
-        label = x.cell_label(i) if hasattr(x, "cell_label") else str(i)
-        raise DomainError(f"action is not free: cell {label} is fixed")
+        raise DomainError(
+            f"action is not free: cell {x.cell_label(a.fixed[0])} is fixed")
 
 
 class OrbitComplex:
@@ -154,7 +152,7 @@ def orbit_complex(x, a: Involution, rep_seed: int | None = None) -> OrbitComplex
     return OrbitComplex(x, a, rep_seed)
 
 
-def quotient(x, a: Involution) -> OrderComplex:
+def quotient(x, a: Involution) -> SimplicialComplex:
     """The barycentric-subdivision quotient X/a: the order complex of the
     face poset of the orbit complex."""
     return order_complex(face_poset(orbit_complex(x, a)))

@@ -399,20 +399,6 @@ def from_json_obj(obj) -> Graph:
     return from_edges(n, pairs)
 
 
-def to_json(g: Graph) -> str:
-    return json.dumps(to_json_obj(g), separators=(",", ":"), sort_keys=True)
-
-
-def from_json(text: str) -> Graph:
-    return from_json_obj(json.loads(text))
-
-
-def to_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines += [f"{u} {v}" for u, v in g.edge_pairs()]
-    return "\n".join(lines) + "\n"
-
-
 def from_edge_list(text: str) -> Graph:
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]

@@ -94,18 +94,6 @@ class HomComplex:
                 out.append(tuple(m.bit_length() - 1 for m in self.cell_of(k)))
         return sorted(out)
 
-    def facet_keys(self, key: int):
-        n, w = self.n_g, self.n_h
-        full = (1 << w) - 1
-        out = []
-        for x in range(n):
-            sh = (n - 1 - x) * w
-            m = key >> sh & full
-            if m.bit_count() >= 2:
-                for v in bits(m):
-                    out.append(key ^ (1 << (sh + v)))
-        return out
-
     @property
     def dim(self) -> int:
         return max((self.dim_of_key(k) for k in self.keys), default=-1)
@@ -322,13 +310,12 @@ def face_relation(x: HomComplex, a, b) -> bool:
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
     """Simplices = vertex sets with a common neighbor."""
     sims = set()
-    for v in range(g.n):
-        nb = g.adj[v]
+    for nb in g.adj:
         sub = nb
         while sub:
-            sims.add(sub)
+            sims.add(tuple(bits(sub)))
             sub = (sub - 1) & nb
-    return SimplicialComplex(g.n, sims)
+    return SimplicialComplex(sorted(sims))
 
 
 def count_hom_components(g: Graph, h: Graph, budget: int | None = None) -> int:

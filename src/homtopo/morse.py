@@ -225,5 +225,5 @@ def neighborhood_poset_map(g: Graph, budget: int | None = None):
     values = []
     for k in x.keys:
         a, _ = x.cell_of(k)
-        values.append(nc._index[a])
+        values.append(nc._index[tuple(bits(a))])
     return PosetMap(src, tgt, tuple(values)), x, nc

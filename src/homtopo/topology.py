@@ -1,13 +1,15 @@
-"""Poset-level topology: order complexes, GF(2) homology, components.
+"""Simplicial complexes, posets, GF(2) homology, components.
 
 Every complex object in the package exposes `chain_data() -> (dims, facets)`
 where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
 the codimension-1 faces of cell i (each exactly once: regular CW / ordered
 Delta-complex boundary over GF(2)).  The functions here consume only that.
 
-`order_complex` gives the ordered Delta-complex of a poset's chains: one
-simplex per chain, whose facets are the chains one element shorter.  On the
-face poset of a regular CW complex it is the barycentric subdivision.
+`SimplicialComplex` is the one simplicial complex class: simplices are
+vertex tuples, and a simplex's facets are the tuples one vertex shorter.
+`order_complex` builds one from a poset's chains, each a simplex with its
+elements as vertices; on the face poset of a regular CW complex it is the
+barycentric subdivision.
 
 `betti_gf2` checks the chain data one cell at a time (facet dimensions,
 two endpoints per 1-cell, and the boundary of the boundary of that cell
@@ -60,48 +62,49 @@ class BettiProfile:
 
 
 class SimplicialComplex:
-    """Explicit simplicial complex; simplices are vertex bitmasks.
+    """Simplicial complex of vertex tuples, closed under nonempty faces.
 
-    Stored closed under nonempty faces, sorted by (dimension, vertex tuple).
+    A simplex is a chain, least first, or ascending vertex numbers; its
+    facets are the simplices that drop one vertex.  `simplices`, given in
+    lexicographic order, is sorted in place, stably by length: (length,
+    tuple) order.
     """
 
-    def __init__(self, ground_n: int, simplices):
-        sims = set(simplices)
-        sims.discard(0)
-        # close downward; inputs are usually closed already
-        stack = list(sims)
-        while stack:
-            m = stack.pop()
-            if m.bit_count() >= 2:
-                for v in bits(m):
-                    f = m ^ (1 << v)
-                    if f not in sims:
-                        sims.add(f)
-                        stack.append(f)
-        self.ground_n = ground_n
-        self.simplices = sorted(sims, key=lambda m: (m.bit_count(), tuple(bits(m))))
-        self._index = {m: i for i, m in enumerate(self.simplices)}
+    def __init__(self, simplices: list[tuple[int, ...]]):
+        simplices.sort(key=len)
+        self.simplices = simplices
+        self._index = {t: i for i, t in enumerate(simplices)}
         self._chain = None
 
     def __len__(self):
         return len(self.simplices)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._index
-
     @property
     def dim(self) -> int:
-        return max((m.bit_count() for m in self.simplices), default=0) - 1
+        return len(self.simplices[-1]) - 1 if self.simplices else -1
 
     def chain_data(self):
+        """(dims, facets); a face missing from the list raises
+        ConsistencyError."""
         if self._chain is None:
-            dims = [m.bit_count() - 1 for m in self.simplices]
-            facets = []
-            for m in self.simplices:
-                if m.bit_count() < 2:
-                    facets.append([])
-                else:
-                    facets.append(sorted(self._index[m ^ (1 << v)] for v in bits(m)))
+            index = self._index
+            dims, facets = [], []
+            try:
+                for t in self.simplices:
+                    n = len(t)
+                    dims.append(n - 1)
+                    if n == 1:
+                        facets.append([])
+                        continue
+                    # drop each vertex; the two end drops are plain slices
+                    fs = [index[t[:d] + t[d + 1:]] for d in range(1, n - 1)]
+                    fs += index[t[1:]], index[t[:-1]]
+                    fs.sort()
+                    facets.append(fs)
+            except KeyError as e:
+                raise ConsistencyError(
+                    f"simplex {t} lacks the face {e.args[0]}: "
+                    "not face-closed") from None
             self._chain = (dims, facets)
         return self._chain
 
@@ -182,50 +185,9 @@ def face_poset(c) -> Poset:
     return Poset(dims, facets)
 
 
-class OrderComplex:
-    """Ordered Delta-complex of the chains of a poset inside a mask.
-
-    A chain is a simplex with its elements, least first, as vertices; its
-    facets are the chains that drop one element.  Simplices are ordered by
-    (length, chain).
-    """
-
-    def __init__(self, p: Poset, mask: int | None = None):
-        chains = p.chains(mask)  # lexicographic
-        chains.sort(key=len)  # stable: (len(t), t) order
-        self.simplices = chains
-        self._index = {t: i for i, t in enumerate(chains)}
-        self._chain = None
-
-    def __len__(self):
-        return len(self.simplices)
-
-    @property
-    def dim(self) -> int:
-        return len(self.simplices[-1]) - 1 if self.simplices else -1
-
-    def chain_data(self):
-        if self._chain is None:
-            index = self._index
-            dims, facets = [], []
-            for t in self.simplices:
-                n = len(t)
-                dims.append(n - 1)
-                if n == 1:
-                    facets.append([])
-                    continue
-                # drop each element; the two end drops are plain slices
-                fs = [index[t[:d] + t[d + 1:]] for d in range(1, n - 1)]
-                fs += index[t[1:]], index[t[:-1]]
-                fs.sort()
-                facets.append(fs)
-            self._chain = (dims, facets)
-        return self._chain
-
-
-def order_complex(p: Poset, mask: int | None = None) -> OrderComplex:
+def order_complex(p: Poset, mask: int | None = None) -> SimplicialComplex:
     """The order complex of the chains inside `mask` (default: all of p)."""
-    return OrderComplex(p, mask)
+    return SimplicialComplex(p.chains(mask))
 
 
 def f_vector(c) -> tuple[int, ...]:

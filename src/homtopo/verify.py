@@ -170,12 +170,10 @@ def _cayley_matches(n: int) -> bool:
         verts.append(cell + (missing,))
     if sorted(verts) != sorted(permutations(range(n))):
         return False
-    edges = set()
-    for k in x.keys:
-        if k.bit_count() != n:  # the 1-cells
-            continue
-        a, b = (x.cell_of(f) for f in x.facet_keys(k))
-        edges.add(frozenset((a, b)))
+    dims, facets = x.chain_data()
+    cells = x.cells()
+    edges = {frozenset(cells[j] for j in facets[i])
+             for i, d in enumerate(dims) if d == 1}
     cayley = set()
     for pi in permutations(range(n)):
         masks = tuple(1 << v for v in pi)

@@ -22,7 +22,7 @@ from homtopo.morse import PartialMatching, is_acyclic
 from homtopo.topology import (SimplicialComplex, betti_gf2, face_poset,
                               order_complex)
 from test_homcx import small_graphs
-from test_topology import OpenEdge, posets
+from test_topology import OpenEdge, closure, posets
 
 
 def direct_betti(c):
@@ -62,7 +62,7 @@ def residue_and_matching(c):
 def small_complexes(draw):
     """A simplicial complex on 6 vertices spanned by up to 6 random simplices."""
     tops = draw(st.lists(st.integers(1, 63), max_size=6))
-    return SimplicialComplex(6, tops)
+    return SimplicialComplex(closure(tops))
 
 
 # ------------------------------------------------------------ differential
@@ -186,8 +186,8 @@ def clearing_cases(draw):
             reject()
     if kind == 1:
         return order_complex(draw(posets(max_n=10, top=4)))
-    return SimplicialComplex(8, draw(st.lists(st.integers(1, 255),
-                                              min_size=6, max_size=10)))
+    return SimplicialComplex(closure(draw(st.lists(st.integers(1, 255),
+                                                   min_size=6, max_size=10))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
-"""Every name the package exports is used by the program, not only by tests.
+"""Every name the package exports, and every module-level function and
+class, is used by the program, not only by tests; no check is an `assert`.
 
-A public name that no other module of the package and no benchmark script
-uses is code kept alive by its own tests.  The source is scanned with `ast`;
+A name that no other module of the package and no benchmark script uses is
+code kept alive by its own tests.  The source is scanned with `ast`;
 nothing from perfbench is imported.
 """
 
@@ -39,3 +40,30 @@ def test_every_export_has_a_caller():
     files += (ROOT / "perfbench").glob("*.py")
     used = set().union(*map(uses, files))
     assert sorted(exported - used) == []
+
+
+def definitions(path: Path) -> set[str]:
+    """The module-level functions and classes of one file, dunders aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def test_every_definition_is_read():
+    # the re-export in __init__ is not a read: the test above wants a
+    # caller beside it
+    files = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
+    defined = set().union(*map(definitions, files))
+    bench = list((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*map(uses, files + bench))
+    assert sorted(defined - used) == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so a check made with one vanishes
+    found = [f"{p.relative_to(ROOT)}:{node.lineno}"
+             for p in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

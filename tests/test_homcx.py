@@ -78,11 +78,6 @@ def test_zero_cells_are_homomorphisms():
 def test_facets_drop_one_bit():
     x = build_hom(cycle(4), complete(3))
     idx = x.index()
-    for k in x.keys:
-        for f in x.facet_keys(k):
-            assert f in idx
-            assert f.bit_count() == k.bit_count() - 1
-            assert f & ~k == 0
     # oracle: faces = entrywise submasks that stay cells
     dims, facets = x.chain_data()
     for i, k in enumerate(x.keys):

@@ -9,22 +9,34 @@ from hypothesis import strategies as st
 
 from homtopo import topology
 from homtopo.errors import ConsistencyError, DomainError, ResourceError
-from homtopo.graphs import complete, cycle
+from homtopo.graphs import bits, complete, cycle
 from homtopo.homcx import build_hom
 from homtopo.topology import (Poset, SimplicialComplex, betti_gf2,
                               connected_components, f_vector, face_poset,
                               find_poset_isomorphism, order_complex)
 
 
+def closure(tops):
+    """Every nonempty face of the vertex-mask simplices in `tops`, as
+    ascending vertex tuples in lexicographic order."""
+    faces = set()
+    for m in tops:
+        sub = m
+        while sub:
+            faces.add(tuple(bits(sub)))
+            sub = (sub - 1) & m
+    return sorted(faces)
+
+
 def simplex(k):
-    """The full k-simplex from its top face alone (tests downward closure)."""
-    return SimplicialComplex(k + 1, [(1 << (k + 1)) - 1])
+    """The full k-simplex."""
+    return SimplicialComplex(closure([(1 << (k + 1)) - 1]))
 
 
 def sphere(k):
     """Boundary of the (k+1)-simplex."""
     full = (1 << (k + 2)) - 1
-    return SimplicialComplex(k + 2, [full ^ (1 << v) for v in range(k + 2)])
+    return SimplicialComplex(closure([full ^ (1 << v) for v in range(k + 2)]))
 
 
 # the 6-vertex triangulation of the projective plane
@@ -34,16 +46,20 @@ RP2_TRIANGLES = ["123", "124", "135", "146", "156",
 
 def rp2():
     sims = [sum(1 << (int(c) - 1) for c in t) for t in RP2_TRIANGLES]
-    return SimplicialComplex(6, sims)
+    return SimplicialComplex(closure(sims))
 
 
 def test_closure_and_order():
     s = simplex(3)
-    assert len(s) == 15 and s.dim == 3
     dims, facets = s.chain_data()
     assert dims == sorted(dims)
-    for i, fs in enumerate(facets):
-        assert len(fs) == (0 if dims[i] == 0 else dims[i] + 1)
+    assert s.simplices == sorted(s.simplices, key=lambda t: (len(t), t))
+    assert all(fs == sorted(fs) for fs in facets)
+
+
+def test_missing_face_is_inconsistent():
+    with pytest.raises(ConsistencyError, match="not face-closed"):
+        SimplicialComplex([(0, 1, 2)]).chain_data()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -73,7 +89,7 @@ def test_rp2_betti():
 
 
 def test_disjoint_pieces():
-    two = SimplicialComplex(6, [0b000111, 0b111000])
+    two = SimplicialComplex(closure([0b000111, 0b111000]))
     p = betti_gf2(two)
     assert p.betti == (2, 0, 0) and p.euler == 2
     assert connected_components(two) == 2
@@ -105,7 +121,7 @@ def naive_components(c):
 
 @pytest.mark.parametrize("c", [
     sphere(1), rp2(), simplex(2),
-    SimplicialComplex(5, [0b00011, 0b01100, 0b10000]),
+    SimplicialComplex(closure([0b00011, 0b01100, 0b10000])),
 ])
 def test_components_oracle(c):
     assert connected_components(c) == naive_components(c)
@@ -292,9 +308,9 @@ def test_find_poset_isomorphism_negative():
     assert find_poset_isomorphism(a, b) is None  # cover counts differ
     # same refinement profile, incompatible cover structure
     hexagon = face_poset(SimplicialComplex(
-        6, [1 << u | 1 << ((u + 1) % 6) for u in range(6)]))
+        closure([1 << u | 1 << ((u + 1) % 6) for u in range(6)])))
     two_tri = face_poset(SimplicialComplex(
-        6, [0b011, 0b110, 0b101, 0b011000, 0b110000, 0b101000]))
+        closure([0b011, 0b110, 0b101, 0b011000, 0b110000, 0b101000])))
     assert find_poset_isomorphism(hexagon, two_tri) is None
 
     # four tops over six elements covered twice each: K_4 against a 4-cycle
@@ -393,7 +409,8 @@ def perturbed_chain_data(draw):
     """Chain data of a random simplicial complex, then at most one change to
     one cell's facet list: a facet dropped, added or swapped for another
     cell of any dimension (never listed twice)."""
-    c = SimplicialComplex(5, draw(st.lists(st.integers(1, 31), max_size=5)))
+    c = SimplicialComplex(closure(draw(st.lists(st.integers(1, 31),
+                                                max_size=5))))
     dims, facets = c.chain_data()
     facets = [list(fs) for fs in facets]
     if dims and draw(st.booleans()):
