@@ -16,8 +16,8 @@ from .formulas import (MnFaceLabel, chi_hom, cycle_components, f_table,
 from .graphs import (Graph, are_isomorphic, chromatic_number, complement,
                      complete, cycle, disjoint_union, enumerate_homomorphisms,
                      find_isomorphism, from_edges, kneser, load_graph,
-                     make_family, max_independent_set, parse_graph_name, path,
-                     petersen, q_graph, validate_involution)
+                     max_independent_set, parse_graph_name, path, petersen,
+                     q_graph, validate_involution)
 from .homcx import (HomComplex, build_hom, count_hom_components,
                     face_relation, neighborhood_complex)
 from .morse import (PartialMatching, PosetMap, check_quillen_A_proxy,

@@ -155,35 +155,6 @@ def cmd_formulas(args) -> int:
     return 0
 
 
-def _parse_value(val: str):
-    """true/false and ints are decoded; anything else stays a string."""
-    if val.lower() in ("true", "false"):
-        return val.lower() == "true"
-    try:
-        return int(val)
-    except ValueError:
-        return val.strip("\"'")
-
-
-def _load_config(path: str) -> dict:
-    """key = value lines decoded by _parse_value; # starts a comment."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read config file {path!r}: {exc}") from None
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected key = value")
-        key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = _parse_value(val)
-    return out
-
-
 def _check_writable(path: str) -> None:
     """Refuse an output file that cannot be created, before any work runs."""
     parent = os.path.dirname(os.path.abspath(path))
@@ -197,17 +168,7 @@ def _check_writable(path: str) -> None:
 def cmd_verify(args) -> int:
     if args.json:
         _check_writable(args.json)
-    overrides = _load_config(args.config) if args.config else {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise DomainError(f"--set wants key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        overrides[key] = _parse_value(val)
-    if "full" in overrides:
-        raise DomainError("the suite is chosen by the fast|full positional, "
-                          "not by the key 'full'")
-    overrides["full"] = args.suite == "full"
-    report = run_checks(args.only or None, overrides)
+    report = run_checks(args.only or None, args.suite)
     if args.stable:
         for row in report["checks"]:
             row.pop("elapsed", None)
@@ -308,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the JSON report to PATH")
     p.add_argument("--stable", action="store_true",
                    help="drop timing fields for byte-identical output")
-    p.add_argument("--config", metavar="PATH", default=None,
-                   help="key = value overrides for the suite budgets")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="single budget override; repeatable")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(run=cmd_verify)
     return ap

@@ -138,24 +138,6 @@ def petersen() -> Graph:
     return kneser(2, 5)
 
 
-def make_family(kind: str, *params: int) -> Graph:
-    """Named families: K, Ko (looped complete), C, L (path), Q, Kneser."""
-    builders = {
-        "K": lambda n: complete(n),
-        "Ko": lambda n: complete(n, looped=True),
-        "C": cycle,
-        "L": path,
-        "Q": q_graph,
-        "Kneser": kneser,
-    }
-    if kind not in builders:
-        raise DomainError(f"unknown family {kind!r}")
-    try:
-        return builders[kind](*params)
-    except TypeError:
-        raise DomainError(f"family {kind} got parameters {params}") from None
-
-
 GRAPH_NAME_RE = re.compile(
     r"^(K)(\d+)(o?)$|^(C|L)(\d+)$|^Kneser:(\d+),(\d+)$")
 
@@ -170,10 +152,10 @@ def parse_graph_name(name: str) -> Graph:
     if not m:
         raise DomainError(f"cannot parse graph name {name!r}")
     if m.group(1):
-        return make_family("Ko" if m.group(3) else "K", int(m.group(2)))
+        return complete(int(m.group(2)), looped=bool(m.group(3)))
     if m.group(4):
-        return make_family(m.group(4), int(m.group(5)))
-    return make_family("Kneser", int(m.group(6)), int(m.group(7)))
+        return (cycle if m.group(4) == "C" else path)(int(m.group(5)))
+    return kneser(int(m.group(6)), int(m.group(7)))
 
 
 # ------------------------------------------------------------- operations

@@ -8,7 +8,6 @@ canonical order: dimension, then lexicographic on the mask tuple.
 
 from __future__ import annotations
 
-import os
 from itertools import chain, count, islice
 from math import prod
 
@@ -190,11 +189,6 @@ class HomComplex:
                     f"{list(bits(c))} are not Hom of that component")
         return parts
 
-    def subcomplex(self, keys) -> "HomComplex":
-        """Same ambient G,H, restricted key set (caller keeps it face-closed)."""
-        sub = HomComplex(self.g, self.h, keys)
-        return sub
-
     def cell_label(self, i: int) -> str:
         cell = self.cell_of(self.keys[i])
         return "(" + ",".join("{" + ",".join(map(str, bits(m))) + "}"
@@ -223,23 +217,11 @@ def _components(adj) -> list[int]:
 
 
 def cell_budget(budget: int | None = None) -> int:
-    """The cell cap in force: `budget` (None: CELL_BUDGET), lowered to
-    HOMTOPO_BUDGET_CELLS when that is set."""
+    """The cell cap in force: `budget`, or CELL_BUDGET when it is None."""
     if budget is None:
-        budget = CELL_BUDGET
+        return CELL_BUDGET
     if budget < 0:
         raise DomainError(f"cell budget must be >= 0, got {budget}")
-    env = os.environ.get("HOMTOPO_BUDGET_CELLS")
-    if env:
-        try:
-            env_budget = int(env)
-        except ValueError:
-            raise DomainError(
-                f"HOMTOPO_BUDGET_CELLS must be an integer, got {env!r}") from None
-        if env_budget < 0:
-            raise DomainError(
-                f"HOMTOPO_BUDGET_CELLS must be >= 0, got {env_budget}")
-        budget = min(budget, env_budget)
     return budget
 
 

@@ -103,7 +103,7 @@ def kmn_matching(m: int, n: int, budget: int | None = None):
         return True
 
     a1_keys = [k for k in x.keys if in_a1(k)]
-    a1 = x.subcomplex(a1_keys)
+    a1 = HomComplex(x.g, x.h, a1_keys)
     idx = a1.index()
     mu: dict[int, int] = {}
     crit: list[int] = []
@@ -114,7 +114,7 @@ def kmn_matching(m: int, n: int, budget: int | None = None):
         elif head == 1 << last:
             crit.append(k)
     matching = PartialMatching(face_poset(a1), mu, carrier=a1)
-    critical = x.subcomplex(crit)
+    critical = HomComplex(x.g, x.h, crit)
     return matching, critical
 
 
@@ -222,8 +222,9 @@ def neighborhood_poset_map(g: Graph, budget: int | None = None):
     nc = neighborhood_complex(g)
     src = face_poset(x)
     tgt = face_poset(nc)
+    index = nc.index()
     values = []
     for k in x.keys:
         a, _ = x.cell_of(k)
-        values.append(nc._index[tuple(bits(a))])
+        values.append(index[tuple(bits(a))])
     return PosetMap(src, tgt, tuple(values)), x, nc

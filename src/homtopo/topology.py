@@ -83,6 +83,10 @@ class SimplicialComplex:
     def dim(self) -> int:
         return len(self.simplices[-1]) - 1 if self.simplices else -1
 
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Simplex -> its position in `simplices`."""
+        return self._index
+
     def chain_data(self):
         """(dims, facets); a face missing from the list raises
         ConsistencyError."""

@@ -31,41 +31,16 @@ from .morse import (check_quillen_A_proxy, check_quillen_B,
 from .topology import (betti_gf2, connected_components, f_vector, face_poset,
                        find_poset_isomorphism, merge_classes)
 
-DEFAULTS = {
-    "full": False,
-    "seed": 0,
-    "fold_pairs": 30,
-    "fold_cell_cap": 20_000,
-    "betti_cell_cap": 20_000,
-    "hom_work_budget": 30_000_000,
-    "core_graphs": 50,
-    "core_trials": 20,
+_SHARED = {"seed": 0, "fold_pairs": 30, "core_graphs": 50, "core_trials": 20}
+
+# hom_work_budget is the most homomorphisms the connectivity check lists for
+# one pair; a pair with more is skipped
+SUITES = {
+    "fast": {**_SHARED, "full": False, "fold_cell_cap": 6_000,
+             "betti_cell_cap": 6_000, "hom_work_budget": 3_000_000},
+    "full": {**_SHARED, "full": True, "fold_cell_cap": 20_000,
+             "betti_cell_cap": 20_000, "hom_work_budget": 30_000_000},
 }
-
-FAST_OVERRIDES = {
-    "fold_cell_cap": 6_000,
-    "betti_cell_cap": 6_000,
-    "hom_work_budget": 3_000_000,
-}
-
-
-def _cfg(overrides: dict | None = None) -> dict:
-    overrides = overrides or {}
-    cfg = dict(DEFAULTS)
-    for k, v in overrides.items():
-        if k not in cfg:
-            raise DomainError(f"unknown budget key {k!r}")
-        if type(v) is not type(cfg[k]):
-            raise DomainError(f"budget key {k!r} wants "
-                              f"{type(cfg[k]).__name__}, got {v!r}")
-        if type(v) is int and k != "seed" and v < 0:
-            raise DomainError(f"budget key {k!r} must be >= 0, got {v}")
-        cfg[k] = v
-    if not cfg["full"]:
-        for k, v in FAST_OVERRIDES.items():
-            if k not in overrides:
-                cfg[k] = v
-    return cfg
 
 
 def _trim(betti) -> list[int]:
@@ -391,8 +366,10 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, overrides: dict | None = None) -> dict:
-    cfg = _cfg(overrides)
+def run_checks(names=None, suite: str = "fast") -> dict:
+    if suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}")
+    cfg = SUITES[suite]
     todo = list(CHECKS) if names is None else list(names)
     for name in todo:
         if name not in CHECKS:
@@ -419,5 +396,4 @@ def run_checks(names=None, overrides: dict | None = None) -> dict:
 
     rows = [run(name) for name in todo]
     ok = all(r["status"] == "pass" for r in rows)
-    return {"suite": "full" if cfg["full"] else "fast",
-            "checks": rows, "status": "pass" if ok else "fail"}
+    return {"suite": suite, "checks": rows, "status": "pass" if ok else "fail"}

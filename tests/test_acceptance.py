@@ -6,7 +6,7 @@ demands exact equality of its expected/computed pair — no tolerances.
 
 import pytest
 
-from homtopo.verify import CHECKS, _cfg
+from homtopo.verify import CHECKS, SUITES
 
 CRITERIA = [
     ("01-wedge-counts", "wedge-counts"),
@@ -27,7 +27,7 @@ CRITERIA = [
 @pytest.mark.parametrize("criterion,check", CRITERIA,
                          ids=[c for c, _ in CRITERIA])
 def test_acceptance(criterion, check):
-    out = CHECKS[check](_cfg())
+    out = CHECKS[check](SUITES["fast"])
     expected, computed = out[0], out[1]
     assert expected == computed, (
         f"{criterion}: expected {expected!r}, computed {computed!r}")

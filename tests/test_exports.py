@@ -1,5 +1,6 @@
 """Every name the package exports, and every module-level function and
-class, is used by the program, not only by tests; no check is an `assert`.
+class, is used by the program, not only by tests; no check is an `assert`;
+no module reads the environment or another object's private attributes.
 
 A name that no other module of the package and no benchmark script uses is
 code kept alive by its own tests.  The source is scanned with `ast`;
@@ -60,10 +61,34 @@ def test_every_definition_is_read():
     assert sorted(defined - used) == []
 
 
+def package_nodes():
+    """(location, node) for every syntax node of every package module."""
+    for p in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if hasattr(node, "lineno"):
+                yield f"{p.relative_to(ROOT)}:{node.lineno}", node
+
+
 def test_no_assert_statements():
     # python -O strips assert, so a check made with one vanishes
-    found = [f"{p.relative_to(ROOT)}:{node.lineno}"
-             for p in sorted(PACKAGE.rglob("*.py"))
-             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+    found = [at for at, node in package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_environment_reads():
+    # the command line and the call arguments are the only inputs
+    found = [at for at, node in package_nodes()
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             and node.attr in ("environ", "getenv")]
+    assert found == []
+
+
+def test_no_private_attribute_reads_across_objects():
+    # an object's _attr is read through `self` only; others ask a method
+    found = [at for at, node in package_nodes()
+             if isinstance(node, ast.Attribute)
+             and node.attr.startswith("_") and not node.attr.startswith("__")
+             and isinstance(node.value, ast.Name) and node.value.id != "self"]
     assert found == []

@@ -14,7 +14,7 @@ from homtopo.graphs import (Graph, are_isomorphic, bits, chromatic_number,
                             complement, complete, cycle, disjoint_union,
                             enumerate_homomorphisms, find_isomorphism,
                             from_edge_list, from_edges, from_json_obj,
-                            induced_subgraph, kneser, load_graph, make_family,
+                            induced_subgraph, kneser, load_graph,
                             max_independent_set, parse_graph_name, path,
                             petersen, q_graph, to_json_obj,
                             validate_involution)
@@ -127,8 +127,6 @@ def test_parse_graph_name():
     for bad in ("K", "C2x", "foo", "k5"):
         with pytest.raises(DomainError):
             parse_graph_name(bad)
-    with pytest.raises(DomainError):
-        make_family("X", 3)
 
 
 def test_operations():

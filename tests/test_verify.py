@@ -1,10 +1,9 @@
-"""Verification harness: budget merging, helpers, report shape."""
+"""Verification harness: the two suites, helpers, report shape."""
 
 import pytest
 
 from homtopo.errors import DomainError
-from homtopo.verify import (CHECKS, DEFAULTS, FAST_OVERRIDES, _cfg,
-                            _product_of_spheres, _sphere, _trim,
+from homtopo.verify import (CHECKS, _product_of_spheres, _sphere, _trim,
                             _wedge_profile, run_checks)
 
 
@@ -38,31 +37,10 @@ def test_wedge_profile():
     assert _wedge_profile(4, 6) == [1, 0, 479]
 
 
-def test_cfg_defaults_and_fast():
-    cfg = _cfg()
-    assert cfg["full"] is False
-    for k, v in FAST_OVERRIDES.items():
-        assert cfg[k] == v
-    for k in DEFAULTS:
-        assert k in cfg
-
-
-def test_cfg_full_keeps_defaults():
-    cfg = _cfg({"full": True})
-    for k, v in DEFAULTS.items():
-        if k != "full":
-            assert cfg[k] == v
-
-
-def test_cfg_explicit_beats_fast_override():
-    cfg = _cfg({"fold_cell_cap": 123})
-    assert cfg["fold_cell_cap"] == 123
-    assert cfg["betti_cell_cap"] == FAST_OVERRIDES["betti_cell_cap"]
-
-
-def test_cfg_rejects_unknown():
-    with pytest.raises(DomainError):
-        _cfg({"warp_factor": 9})
+def test_run_checks_suites():
+    assert run_checks(["exclusions"], "full")["suite"] == "full"
+    with pytest.raises(DomainError, match="unknown suite"):
+        run_checks(["exclusions"], "medium")
 
 
 def test_run_checks_report_shape():
