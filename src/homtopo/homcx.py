@@ -170,8 +170,14 @@ class HomComplex:
         full = (1 << w) - 1
         if any(map(int.__eq__, keys, islice(keys, 1, None))):
             raise ConsistencyError("a cell is listed twice")
-        parts = tuple(build_hom(induced_subgraph(self.g, c), self.h,
-                                budget=len(keys)) for c in comps)
+        # no count first: a factor is never larger than the product, so
+        # build_hom's count could not refuse it; the product check below
+        # stands in for the count's check of the enumeration
+        parts = []
+        for c in comps:
+            g = induced_subgraph(self.g, c)
+            parts.append(HomComplex(g, self.h, enumerate_hom_cells(
+                g.adj, self.h.adj, len(keys)), whole=True))
         if len(keys) != prod(map(len, parts)):
             raise ConsistencyError(
                 f"{len(keys)} cells, but the components' complexes have "
@@ -187,7 +193,7 @@ class HomComplex:
                 raise ConsistencyError(
                     f"the cells restricted to the component on vertices "
                     f"{list(bits(c))} are not Hom of that component")
-        return parts
+        return tuple(parts)
 
     def cell_label(self, i: int) -> str:
         cell = self.cell_of(self.keys[i])

@@ -1,11 +1,13 @@
 """Coreduction inside betti_gf2: differential properties against direct
 elimination over every cell, the columns that clearing leaves to rank, a
-certificate for the pairing it removes, the residue sizes that pin its queue
-order, and the Euler bookkeeping check."""
+certificate for the pairing it removes, the residue sizes that pin its sweep
+order, a strip that takes one pass per triangle, the traced memory of a run,
+and the Euler bookkeeping check."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -51,8 +53,8 @@ def direct_betti(c):
 def residue_and_matching(c):
     """(residue cell dims, seeds, PartialMatching of the removed pairs)."""
     dims, facets = c.chain_data()
-    _, cofacets = topology._check_cells(dims, facets)
-    mate, seeds = topology._coreduce(dims, facets, cofacets)
+    topology._check_cells(dims, facets)
+    mate, seeds = topology._coreduce(dims, facets)
     mu = {i: m for i, m in enumerate(mate) if m >= 0 and dims[m] > dims[i]}
     residue = [dims[i] for i, m in enumerate(mate) if m < 0]
     return residue, seeds, PartialMatching(face_poset(c), mu, carrier=c)
@@ -116,8 +118,8 @@ def residue(c):
     the boundary of residue cell i restricted to the residue: each row is
     the place of a cell among the residue cells of its dimension."""
     dims, facets = c.chain_data()
-    _, cofacets = topology._check_cells(dims, facets)
-    mate, _ = topology._coreduce(dims, facets, cofacets)
+    topology._check_cells(dims, facets)
+    mate, _ = topology._coreduce(dims, facets)
     cells = [[] for _ in range(max(dims) + 1)]
     row = {}
     for i, m in enumerate(mate):
@@ -250,11 +252,71 @@ def test_k4_k7_residue_is_the_critical_spheres():
 
 
 def test_c5_k5_residue_is_small():
-    # first-in first-out order leaves ~3,000 of 45,540 cells; a stack ~25,000
+    # the sweep by dimension leaves 3,245 of 45,540 cells; a queue of cells
+    # freed by their faces' removal left 3,017, and a stack about 25,000
     x = build_hom(cycle(5), complete(5))
     residue, seeds, _ = residue_and_matching(x)
     assert len(x.keys) == 45540
     assert len(residue) <= 4000
+
+
+class Strip:
+    """A strip of n triangles (i, i+1, i+2) on the vertices 0..n+1, with the
+    triangles listed from the last one down.  The spanning tree from vertex
+    0 takes the edges (0,1) and (i,i+2), so only triangle 0 starts with one
+    edge left, and each removal frees the triangle listed before it."""
+
+    def __init__(self, n):
+        edges = sorted([(i, i + 1) for i in range(n + 1)]
+                       + [(i, i + 2) for i in range(n)])
+        at = {e: n + 2 + k for k, e in enumerate(edges)}
+        self.dims = [0] * (n + 2) + [1] * len(edges) + [2] * n
+        self.facets = ([[] for _ in range(n + 2)] + [list(e) for e in edges]
+                       + [[at[i, i + 1], at[i, i + 2], at[i + 1, i + 2]]
+                          for i in reversed(range(n))])
+
+    def chain_data(self):
+        return self.dims, self.facets
+
+
+class CountedReads(list):
+    """A facet list that counts the reads of 2-cells' entries."""
+
+    def __init__(self, facets, dims):
+        super().__init__(facets)
+        self.dims, self.reads = dims, 0
+
+    def __getitem__(self, i):
+        self.reads += self.dims[i] == 2
+        return super().__getitem__(i)
+
+
+def test_strip_against_the_sweep_takes_a_pass_per_triangle():
+    n = 120
+    c = Strip(n)
+    assert betti_gf2(c).betti == (1, 0, 0)
+    residue, seeds, m = residue_and_matching(c)
+    assert residue == [] and seeds == 1
+    assert is_acyclic(m)
+    facets = CountedReads(c.facets, c.dims)
+    topology._coreduce(c.dims, facets)
+    # pass k visits the n - k + 1 triangles still present
+    assert facets.reads >= n * (n + 1) // 2
+
+
+def test_betti_on_built_face_data_stays_small():
+    # the check pass and coreduction keep no per-cell list of their own:
+    # 7.4 MB traced with cofacet lists, about 1.5 MB without
+    x = build_hom(cycle(5), complete(5))
+    x.chain_data()
+    tracemalloc.start()
+    try:
+        betti = betti_gf2(x).betti
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert betti == (1, 0, 1, 1, 0, 1)
+    assert peak < 3_000_000
 
 
 # ------------------------------------------------------------ guard rails
@@ -267,8 +329,8 @@ def test_one_cells_need_two_endpoints():
 def test_euler_check_catches_a_miscounted_seed(monkeypatch):
     real = topology._coreduce
 
-    def one_seed_too_many(dims, facets, cofacets):
-        mate, seeds = real(dims, facets, cofacets)
+    def one_seed_too_many(dims, facets):
+        mate, seeds = real(dims, facets)
         return mate, seeds + 1
 
     monkeypatch.setattr(topology, "_coreduce", one_seed_too_many)

@@ -393,6 +393,17 @@ def test_factors_are_the_components():
     assert betti_gf2(x) == betti_gf2(Generic(x))
 
 
+def test_factor_builds_skip_the_count(monkeypatch):
+    # the whole product is counted once; a factor is never larger than the
+    # product, so its build is not counted again
+    real, sizes = homcx._complete_target_cells, []
+    monkeypatch.setattr(homcx, "_complete_target_cells",
+                        lambda adj, n: sizes.append(len(adj)) or real(adj, n))
+    assert betti_gf2(build_hom(THREE_K2, complete(4))).betti == (
+        1, 0, 3, 0, 3, 0, 1)
+    assert sizes == [6]
+
+
 def test_connected_and_empty_complexes_have_no_factors():
     assert build_hom(cycle(5), complete(3)).factors() == ()
     empty = build_hom(disjoint_union(complete(3), complete(1)), complete(2))

@@ -449,8 +449,8 @@ def test_per_cell_check_matches_dense_columns_on_fixtures(c):
 def _residue_shape(x):
     """Per dimension, the number of cells coreduction leaves in x."""
     dims, facets = x.chain_data()
-    f, cofacets = topology._check_cells(dims, facets)
-    mate, _ = topology._coreduce(dims, facets, cofacets)
+    f = topology._check_cells(dims, facets)
+    mate, _ = topology._coreduce(dims, facets)
     rf = [0] * len(f)
     for i, m in enumerate(mate):
         if m < 0:
