@@ -30,6 +30,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, or_, rshift
 
 from . import topology
 from ._kernels import gf2_in_span
@@ -48,15 +50,31 @@ class Involution:
 
 
 def induced_involution(x: HomComplex, gamma) -> Involution:
-    """The cell map eta -> eta∘gamma for an automorphism gamma of the source."""
+    """The cell map eta -> eta∘gamma for an automorphism gamma of the source.
+
+    The image of a packed key moves fields, not cells: the fields of the
+    vertices gamma fixes stay (k & keep), and each other vertex v takes the
+    field of gamma[v] by one shift and mask, over all keys at once.
+    """
     gamma = validate_involution(x.g, gamma)
-    idx = x.index()
-    perm = []
-    for k in x.keys:
-        cell = x.cell_of(k)
-        image = tuple(cell[gamma[v]] for v in range(x.n_g))
-        perm.append(idx[x.key_of(image)])
-    perm = tuple(perm)
+    n, w = x.n_g, x.n_h
+    full = (1 << w) - 1
+    keep = 0
+    moves = []  # (shift op, distance, destination field)
+    for v in range(n):
+        dst, src = (n - 1 - v) * w, (n - 1 - gamma[v]) * w
+        if src == dst:
+            keep |= full << dst
+        elif src > dst:
+            moves.append((rshift, src - dst, full << dst))
+        else:
+            moves.append((lshift, dst - src, full << dst))
+    keys = x.keys
+    images = list(map(keep.__and__, keys))
+    for op, by, field in moves:
+        images = list(map(or_, images,
+                          map(field.__and__, map(op, keys, repeat(by)))))
+    perm = tuple(map(x.index().__getitem__, images))
     fixed = tuple(i for i, j in enumerate(perm) if i == j)
     return Involution(perm, not fixed, fixed)
 

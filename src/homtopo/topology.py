@@ -9,7 +9,13 @@ Delta-complex boundary over GF(2)).  The functions here consume only that.
 vertex tuples, and a simplex's facets are the tuples one vertex shorter.
 `order_complex` builds one from a poset's chains, each a simplex with its
 elements as vertices; on the face poset of a regular CW complex it is the
-barycentric subdivision.
+barycentric subdivision.  `Poset.chains` builds the chains a length at a
+time, each extended by every element above its greatest one, then sorts
+once.  `SimplicialComplex.chain_data` takes the simplices a block of equal
+length at a time, with one column of face indices per dropped position,
+so the per-simplex work runs in C-level map and itemgetter calls.  Each
+row is sorted: a chain lists its elements least first, not in ascending
+index order, so the indices of its facets need not ascend.
 
 `betti_gf2` checks the chain data one cell at a time (facet dimensions,
 two endpoints per 1-cell, and the boundary of the boundary of that cell
@@ -37,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
+from itertools import compress, count, groupby
+from operator import itemgetter
 
 from ._kernels import gf2_rank
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -74,8 +81,12 @@ class SimplicialComplex:
 
     def __init__(self, simplices: list[tuple[int, ...]]):
         simplices.sort(key=len)
+        if simplices and not simplices[0]:
+            raise DomainError("the empty simplex is not a simplex here")
         self.simplices = simplices
         self._index = {t: i for i, t in enumerate(simplices)}
+        if len(self._index) != len(simplices):
+            raise ConsistencyError("a simplex is listed more than once")
         self._chain = None
 
     def __len__(self):
@@ -91,28 +102,48 @@ class SimplicialComplex:
 
     def chain_data(self):
         """(dims, facets); a face missing from the list raises
-        ConsistencyError."""
+        ConsistencyError.
+
+        One block of equal-length simplices at a time, one column per
+        dropped position: the indices of the faces that drop it, looked up
+        by C-level maps.  A row of the columns lists a simplex's facets.
+        It is sorted: an ascending tuple's drops come in descending index
+        order, but a chain of a poset lists its elements least first, in
+        no fixed index order, so only a sort puts its facets in order.
+        """
         if self._chain is None:
             index = self._index
             dims, facets = [], []
-            try:
-                for t in self.simplices:
-                    n = len(t)
-                    dims.append(n - 1)
-                    if n == 1:
-                        facets.append([])
-                        continue
-                    # drop each vertex; the two end drops are plain slices
-                    fs = [index[t[:d] + t[d + 1:]] for d in range(1, n - 1)]
-                    fs += index[t[1:]], index[t[:-1]]
-                    fs.sort()
-                    facets.append(fs)
-            except KeyError as e:
-                raise ConsistencyError(
-                    f"simplex {t} lacks the face {e.args[0]}: "
-                    "not face-closed") from None
+            for n, block in groupby(self.simplices, len):
+                block = list(block)
+                dims += [n - 1] * len(block)
+                if n == 1:
+                    facets += [[] for _ in block]
+                    continue
+                cols = []
+                for p in range(n):
+                    try:
+                        cols.append(list(map(index.__getitem__,
+                                             _drop(block, p))))
+                    except KeyError as e:
+                        face = e.args[0]
+                        t = next(t for t, f in zip(block, _drop(block, p))
+                                 if f == face)
+                        raise ConsistencyError(
+                            f"simplex {t} lacks the face {face}: "
+                            "not face-closed") from None
+                facets += map(sorted, zip(*cols))
             self._chain = (dims, facets)
         return self._chain
+
+
+def _drop(block, p):
+    """The faces of the equal-length simplices in `block` that drop
+    position p, as tuples, lazily."""
+    kept = [q for q in range(len(block[0])) if q != p]
+    if len(kept) == 1:  # itemgetter of one position gives no tuple
+        return zip(map(itemgetter(kept[0]), block))
+    return map(itemgetter(*kept), block)
 
 
 class Poset:
@@ -166,22 +197,22 @@ class Poset:
     def chains(self, mask: int | None = None) -> list[tuple[int, ...]]:
         """All nonempty chains inside `mask` (default: every element), each
         as a tuple of its elements from least to greatest, in lexicographic
-        order (a depth-first walk taking the elements above in ascending
-        order)."""
+        order.  They are built a length at a time: each chain of one level
+        grows by every element of the mask above its greatest element."""
+        n = len(self.grades)
         if mask is None:
-            mask = (1 << len(self.grades)) - 1
+            mask = (1 << n) - 1
+        elif mask >> n:
+            raise DomainError(f"mask {mask:#x} names an element outside "
+                              f"the {n}-element poset")
+        # ups[j]: the 1-tuples of the elements of the mask above j
+        ups = [[(i,) for i in bits(m & mask)] for m in self.above]
+        level = [(i,) for i in bits(mask)]
         out = []
-        above = self.above
-
-        def grow(chain, avail):
-            out.append(tuple(chain))
-            for j in bits(avail):
-                chain.append(j)
-                grow(chain, avail & above[j])
-                chain.pop()
-
-        for i in bits(mask):
-            grow([i], above[i] & mask)
+        while level:
+            out += level
+            level = [c + u for c in level for u in ups[c[-1]]]
+        out.sort()
         return out
 
 

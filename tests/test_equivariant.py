@@ -2,6 +2,7 @@
 chromatic lower bounds, and the subdivision quotient, each checked against
 a plain mirror-and-min construction of the quotient from chains of X."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from homtopo.equivariant import (_swap_map, coloring_bound, equivariant_report,
                                  orbit_complex, quotient, sw_height)
 from homtopo.errors import DomainError, ResourceError
 from homtopo.graphs import (chromatic_number, complete, cycle, disjoint_union,
-                            from_edges, kneser, petersen)
+                            from_edges, kneser, petersen,
+                            validate_involution)
 from homtopo.homcx import build_hom
 from homtopo.topology import betti_gf2, f_vector, face_poset
 
@@ -168,6 +170,34 @@ def test_induced_involution():
     assert perm[i] == x.index()[x.key_of((0b010, 0b001))]
     with pytest.raises(DomainError):
         induced_involution(x, (0, 1, 2))  # wrong source size
+
+
+def involutions(g):
+    """Every automorphism of g of order dividing 2, the identity included."""
+    out = []
+    for gamma in itertools.permutations(range(g.n)):
+        try:
+            out.append(validate_involution(g, gamma))
+        except DomainError:
+            pass
+    return out
+
+
+SMALL_SOURCES = loopless_corpus(max_n=4)
+
+
+@pytest.mark.parametrize("g", SMALL_SOURCES.values(), ids=SMALL_SOURCES.keys())
+def test_involution_moves_fields_like_cells(g):
+    # the image keys come from shifted fields; the plain route unpacks each
+    # key to its cell, permutes the masks and packs the image again
+    for n in (3, 4, 5):
+        x = build_hom(g, complete(n))
+        idx = x.index()
+        for gamma in involutions(g):
+            plain = tuple(idx[x.key_of(tuple(x.cell_of(k)[gamma[v]]
+                                             for v in range(g.n)))]
+                          for k in x.keys)
+            assert induced_involution(x, gamma).perm == plain
 
 
 def test_fixed_cell_detected():

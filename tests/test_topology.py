@@ -2,6 +2,7 @@
 the poset-isomorphism search."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,56 @@ def test_closure_and_order():
 def test_missing_face_is_inconsistent():
     with pytest.raises(ConsistencyError, match="not face-closed"):
         SimplicialComplex([(0, 1, 2)]).chain_data()
+
+
+def test_missing_face_names_a_simplex_that_lacks_it():
+    # the triangle lacks the edge (0, 2); the edge (3, 4) lacks the point 4
+    for tops, simplex, face in (([(0, 1), (1, 2), (0, 1, 2)], (0, 1, 2),
+                                 (0, 2)),
+                                ([(0, 1), (3, 4)], (3, 4), (4,))):
+        points = sorted({(v,) for t in tops for v in t} - {face})
+        with pytest.raises(ConsistencyError, match=re.escape(
+                f"simplex {simplex} lacks the face {face}: not face-closed")):
+            SimplicialComplex(points + tops).chain_data()
+
+
+def test_repeated_simplex_is_inconsistent():
+    # one point listed twice would count b_0 = 2
+    with pytest.raises(ConsistencyError, match="more than once"):
+        SimplicialComplex([(0,), (0,)])
+
+
+@pytest.mark.parametrize("simplices", [[()], [(0, 1), (0,), (1,), ()]])
+def test_empty_simplex_is_bad_input(simplices):
+    with pytest.raises(DomainError, match="empty simplex"):
+        SimplicialComplex(simplices)
+
+
+def facets_one_at_a_time(c):
+    """The per-simplex definition: a simplex's facets are the sorted indices
+    of its one-vertex drops."""
+    index = c.index()
+    return [sorted(index[t[:d] + t[d + 1:]] for d in range(len(t)))
+            if len(t) > 1 else [] for t in c.simplices]
+
+
+@st.composite
+def shuffled_complexes(draw, n=6):
+    """A random face-closed complex on n vertices whose tuples list their
+    vertices in one random order, not ascending, given in random order."""
+    rank = draw(st.permutations(range(n)))
+    tops = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=5))
+    faces = [tuple(sorted(t, key=rank.index)) for t in closure(tops)]
+    return draw(st.permutations(faces))
+
+
+@settings(deadline=None, derandomize=True)
+@given(shuffled_complexes())
+def test_chain_data_by_columns_matches_each_simplex(simplices):
+    c = SimplicialComplex(list(simplices))
+    dims, facets = c.chain_data()
+    assert dims == [len(t) - 1 for t in c.simplices]
+    assert facets == facets_one_at_a_time(c)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -223,6 +274,13 @@ def test_chains_inside_mask(p, mask):
         assert dims[i] == len(t) - 1
         assert facets[i] == sorted(c.simplices.index(s) for s in want
                                    if len(s) == len(t) - 1 and set(s) < set(t))
+
+
+def test_chains_mask_outside_the_poset_is_bad_input():
+    p = Poset([0, 1], [[], [0]])
+    assert p.chains(0b11) == [(0,), (0, 1), (1,)]
+    with pytest.raises(DomainError, match="outside"):
+        p.chains(0b100)
 
 
 def test_face_poset_grading():
