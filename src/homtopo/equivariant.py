@@ -54,7 +54,9 @@ def induced_involution(x: HomComplex, gamma) -> Involution:
 
     The image of a packed key moves fields, not cells: the fields of the
     vertices gamma fixes stay (k & keep), and each other vertex v takes the
-    field of gamma[v] by one shift and mask, over all keys at once.
+    field of gamma[v] by one shift and mask, over all keys at once.  A
+    complex not closed under gamma raises DomainError naming a cell whose
+    image it lacks.
     """
     gamma = validate_involution(x.g, gamma)
     n, w = x.n_g, x.n_h
@@ -74,7 +76,13 @@ def induced_involution(x: HomComplex, gamma) -> Involution:
     for op, by, field in moves:
         images = list(map(or_, images,
                           map(field.__and__, map(op, keys, repeat(by)))))
-    perm = tuple(map(x.index().__getitem__, images))
+    index = x.index()
+    try:
+        perm = tuple(map(index.__getitem__, images))
+    except KeyError:
+        i = next(i for i, k in enumerate(images) if k not in index)
+        raise DomainError(f"cell {x.cell_label(i)} has its image under "
+                          f"gamma outside the complex") from None
     fixed = tuple(i for i, j in enumerate(perm) if i == j)
     return Involution(perm, not fixed, fixed)
 

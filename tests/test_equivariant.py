@@ -18,7 +18,7 @@ from homtopo.errors import DomainError, ResourceError
 from homtopo.graphs import (chromatic_number, complete, cycle, disjoint_union,
                             from_edges, kneser, petersen,
                             validate_involution)
-from homtopo.homcx import build_hom
+from homtopo.homcx import HomComplex, build_hom
 from homtopo.topology import betti_gf2, f_vector, face_poset
 
 FLIP = (1, 0)
@@ -170,6 +170,14 @@ def test_induced_involution():
     assert perm[i] == x.index()[x.key_of((0b010, 0b001))]
     with pytest.raises(DomainError):
         induced_involution(x, (0, 1, 2))  # wrong source size
+
+
+def test_involution_of_a_complex_not_closed_under_gamma():
+    # the one cell ({0},{1}) swaps to ({1},{0}), which is not listed
+    x = build_hom(complete(2), complete(3))
+    y = HomComplex(x.g, x.h, x.keys[:1])
+    with pytest.raises(DomainError, match=r"\(\{0\},\{1\}\) has its image"):
+        induced_involution(y, FLIP)
 
 
 def involutions(g):

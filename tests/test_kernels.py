@@ -1,6 +1,8 @@
 """The bitmask kernels: cell enumeration against a brute-force oracle,
 budget errors, and GF(2) rank, pivot row and span tests."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from homtopo import _kernels
 from homtopo._kernels import pure
 from homtopo.errors import BudgetError
-from homtopo.graphs import complete, from_edges, path
+from homtopo.graphs import complete, cycle, from_edges, path
+from homtopo.homcx import build_hom
 from test_homcx import brute_cells, small_graphs
 
 
@@ -103,6 +106,15 @@ def test_keys_wider_than_64_bits():
 # vertices only, so that branch must drop subsets.
 LOOPED_LEAF = from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
 HALF_LOOPED = from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+# The shapes of the final loop, penultimate vertex and last vertex in the
+# degree order: LOOPED_LEAF's are adjacent and the last is looped;
+# path(3)'s (vertices 0 and 2) are not adjacent; LOOPED_LAST_APART's
+# (vertices 2 and 3) are not, and the last is looped; LOOPED_PENULTIMATE
+# has n_g = 2 with a looped penultimate vertex, and the 3-vertex source
+# after it a looped penultimate vertex 2 apart from the last vertex 1;
+# complete(2) and the 2-vertex empty graph are n_g = 2, adjacent or not.
+LOOPED_LAST_APART = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 3)])
+LOOPED_PENULTIMATE = from_edges(2, [(0, 0), (0, 1)])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -111,6 +123,12 @@ HALF_LOOPED = from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 2)])
 @example(from_edges(1, [(0, 0)]), HALF_LOOPED)
 @example(from_edges(1, []), complete(3))
 @example(complete(3), complete(2))
+@example(path(3), HALF_LOOPED)
+@example(LOOPED_LAST_APART, HALF_LOOPED)
+@example(LOOPED_PENULTIMATE, HALF_LOOPED)
+@example(from_edges(3, [(0, 1), (0, 2), (2, 2)]), HALF_LOOPED)
+@example(complete(2), HALF_LOOPED)
+@example(from_edges(2, []), HALF_LOOPED)
 def test_enumerator_matches_oracle_and_budget(g, h):
     want = sorted(sum(m << (g.n - 1 - x) * h.n for x, m in enumerate(cell))
                   for cell in brute_cells(g, h))
@@ -127,6 +145,12 @@ def test_enumerator_matches_oracle_and_budget(g, h):
 @example(from_edges(1, [(0, 0)]), HALF_LOOPED)
 @example(from_edges(1, []), complete(3))
 @example(complete(3), complete(2))
+@example(path(3), HALF_LOOPED)
+@example(LOOPED_LAST_APART, HALF_LOOPED)
+@example(LOOPED_PENULTIMATE, HALF_LOOPED)
+@example(from_edges(3, [(0, 1), (0, 2), (2, 2)]), HALF_LOOPED)
+@example(complete(2), HALF_LOOPED)
+@example(from_edges(2, []), HALF_LOOPED)
 def test_zero_cells_are_the_cells_with_one_bit_per_field(g, h):
     # a cell has one bit in each of its g.n fields iff its popcount is g.n
     cells = pure.enumerate_hom_cells(g.adj, h.adj, 10**6)
@@ -136,3 +160,73 @@ def test_zero_cells_are_the_cells_with_one_bit_per_field(g, h):
         with pytest.raises(BudgetError) as e:
             pure.enumerate_zero_cells(g.adj, h.adj, b)
         assert e.value.found == b + 1
+
+
+def plain_cn(adj, mask):
+    """Oracle: the common neighbours of mask, one row per bit."""
+    out = (1 << len(adj)) - 1
+    for y in range(len(adj)):
+        if mask >> y & 1:
+            out &= adj[y]
+    return out
+
+
+@st.composite
+def wide_targets(draw):
+    """Graphs on 13..16 vertices, wider than one 12-bit table, with few
+    edges (so that Hom(K2,H) stays small) and loops on some vertices."""
+    n = draw(st.integers(13, 16))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=24))
+    return from_edges(n, edges)
+
+
+def wide_counts(g, h):
+    """Oracle: (cells, 0-cells) of Hom(g,H) for g = K1, looped K1 or K2."""
+    adj = h.adj
+    masks = range(1, 1 << h.n)
+    if g.n == 2:
+        return (sum((1 << plain_cn(adj, a).bit_count()) - 1 for a in masks),
+                sum(row.bit_count() for row in adj))
+    if g.adj[0]:
+        return (sum(1 for a in masks if a & ~plain_cn(adj, a) == 0),
+                sum(adj[y] >> y & 1 for y in range(h.n)))
+    return (1 << h.n) - 1, h.n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([complete(1), complete(1, looped=True), complete(2)]),
+       wide_targets())
+def test_targets_wider_than_one_table(g, h):
+    cells, zero_cells = wide_counts(g, h)
+    for walk, count in ((pure.enumerate_hom_cells, cells),
+                        (pure.enumerate_zero_cells, zero_cells)):
+        keys = walk(g.adj, h.adj, count)
+        assert len(keys) == len(set(keys)) == count
+        assert keys == sorted(keys)
+        for k in keys:
+            fields = [k >> (g.n - 1 - x) * h.n & (1 << h.n) - 1
+                      for x in range(g.n)]
+            if walk is pure.enumerate_zero_cells:
+                assert all(m.bit_count() == 1 for m in fields)
+            for x in range(g.n):
+                for y in range(g.n):
+                    if g.adj[x] >> y & 1:
+                        assert fields[y] & ~plain_cn(h.adj, fields[x]) == 0
+        for b in {0, count // 2, count - 1} & set(range(count)):
+            with pytest.raises(BudgetError) as e:
+                walk(g.adj, h.adj, b)
+            assert e.value.found == b + 1
+
+
+def test_wide_target_builds_no_whole_mask_table():
+    # 20 target vertices take a 4,096- and a 256-entry table; one table
+    # over every mask would hold 2^20 entries, tens of MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            build_hom(complete(1), cycle(20), budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
