@@ -12,8 +12,10 @@ H-neighbourhood of a mask, and reads it from a table that the call builds
 once by doubling over H's rows and drops when it returns: one entry per
 mask of up to 12 bits, so at most 4,096 entries, and a target wider than
 12 vertices gets one table per 12-bit chunk of the mask, the lookups
-ANDed.  The last two G-vertices are one loop: each candidate of the
-penultimate vertex emits the last vertex's cells as a batch.
+ANDed.  A walk over 0-cells has single-bit masks only, so it reads H's
+rows from a lookup with one entry per vertex and builds no table.  The
+last two G-vertices are one loop: each candidate of the penultimate vertex
+emits the last vertex's cells as a batch.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def enumerate_zero_cells(adj_g, adj_h, budget: int) -> list[int]:
     The walk of enumerate_hom_cells with one target per vertex: each level
     takes the single bits of its allowed mask from the top down, a looped
     vertex is allowed only H's looped vertices, and the last vertex emits
-    one key per bit of its allowed mask.  BudgetError reports
+    one key per bit of its allowed mask.  A single bit's common
+    neighbourhood is one row of H, read from a lookup with one entry per
+    H-vertex, not from a table over every mask.  BudgetError reports
     found = budget + 1 as soon as more than `budget` maps exist.
     """
     return _walk(adj_g, adj_h, budget, True)
@@ -122,7 +126,11 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
     # is nonempty, so the final loop's empty candidate means n_g == 1 only
     if not all(allowed):
         return []
-    cn = _common_neighbours(adj_h)
+    if zero:
+        # a 0-cell walk looks up single bits only: one entry per H-vertex
+        cn = {1 << y: row for y, row in enumerate(adj_h)}.__getitem__
+    else:
+        cn = _common_neighbours(adj_h)
 
     out: list[int] = []
     last = n_g - 1

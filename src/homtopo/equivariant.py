@@ -96,8 +96,9 @@ def _require_free(x: HomComplex, a: Involution) -> None:
 class OrbitComplex:
     """CW complex of the cell orbits {eta, a(eta)} of a free involution.
 
-    x must list its cells in dimension order, as HomComplex does; orbits
-    are numbered by their lower cell index, so they come in that order too.
+    x must list its cells in dimension order, as the chain-data protocol
+    of topology requires; orbits are numbered by their lower cell index,
+    so they come in that order too, and start[d] bisects it.
     reps[t] is the cell chosen to stand for orbit t.
     """
 

@@ -336,6 +336,8 @@ def f_table(max_m: int, max_n: int) -> list[dict]:
     Each row is checked as f_wedge and chi_hom check it, from one pass of
     every stream per m.
     """
+    if max_m < 1 or max_n < 1:
+        raise DomainError("a table of f(m,n) needs max m, max n >= 1")
     if max_n > TABLE_N_MAX:
         raise ResourceError(f"formula tables capped at n={TABLE_N_MAX}")
     rows = []

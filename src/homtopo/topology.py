@@ -3,7 +3,9 @@
 Every complex object in the package exposes `chain_data() -> (dims, facets)`
 where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
 the codimension-1 faces of cell i (each exactly once: regular CW / ordered
-Delta-complex boundary over GF(2)).  The functions here consume only that.
+Delta-complex boundary over GF(2)).  The cells are listed by nondecreasing
+dimension from 0, so each dimension's cells are one index range; betti_gf2
+checks that order.  The functions here consume only that.
 
 `SimplicialComplex` is the one simplicial complex class: simplices are
 vertex tuples, and a simplex's facets are the tuples one vertex shorter.
@@ -17,19 +19,21 @@ so the per-simplex work runs in C-level map and itemgetter calls.  Each
 row is sorted: a chain lists its elements least first, not in ascending
 index order, so the indices of its facets need not ascend.
 
-`betti_gf2` checks the chain data one cell at a time (facet dimensions,
-two endpoints per 1-cell, and the boundary of the boundary of that cell
-over GF(2), from the sorted facets of its facets), with no full boundary
-column and no cofacet list.  It then removes Mrozek-Batko coreduction pairs
-(Mrozek & Batko, "Coreduction homology algorithm", DCG 41, 2009): a
-spanning forest over the 1-cells, then in-order sweeps over each dimension
-from 2 up, which need only the facets.  GF(2) elimination runs only on the
-cells that are left; MATRIX_BIT_CAP bounds those residue
-matrices, checked before any of their columns is built.  The residue is
-ranked from its top dimension down with clearing (Chen & Kerber,
-"Persistent homology computation with a twist", EuroCG 2011): a reduced
-column of d_{k+1} whose lowest bit is row i makes column i of d_k a sum of
-the columns after it, so that column is never built.
+`betti_gf2` sweeps the dimensions once, from the bottom up, over each one's
+index range.  It checks each cell on one read (facet dimensions, two
+endpoints per 1-cell, and the boundary of the boundary of that cell over
+GF(2), from the sorted facets of its facets), with no full boundary column
+and no cofacet list, and the same read counts the cell's facets left for
+Mrozek-Batko coreduction (Mrozek & Batko, "Coreduction homology
+algorithm", DCG 41, 2009): a spanning forest over the 1-cells, then
+in-order passes over each dimension from 2 up, which need only the
+facets.  GF(2) elimination runs only on the cells that are left;
+MATRIX_BIT_CAP bounds those residue matrices, checked before any of their
+columns is built.  The residue is ranked from its top dimension down with
+clearing (Chen & Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): a reduced column of d_{k+1} whose lowest bit is row i makes
+column i of d_k a sum of the columns after it, so that column is never
+built.
 
 A complex may also offer `factors()`, complexes whose product it is cell by
 cell (HomComplex does for a disconnected source, after checking the
@@ -41,10 +45,11 @@ Thm 3B.6); the product's chain data is never built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count, groupby
-from operator import itemgetter
+from itertools import accumulate, chain, groupby, pairwise
+from operator import itemgetter, le
 
 from ._kernels import gf2_rank
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -267,46 +272,58 @@ def connected_components(c) -> int:
     return len({labels[i] for i, d in enumerate(dims) if d == 0})
 
 
-def _coreduce(dims, facets):
-    """Mrozek-Batko coreduction of chain data, swept up by dimension.
+def _check_and_coreduce(dims, facets):
+    """Check the cells and remove Mrozek-Batko coreduction pairs in one
+    sweep up the dimensions: (f, mate, seeds), or ConsistencyError.
 
-    Every removal is elementary: a cell with exactly one facet left goes
-    together with that facet.  Removing a (d-1, d) pair changes the count
-    of facets left only for cells of dimensions d and d + 1, so the
-    dimensions can be swept in turn, from the bottom up, with no cofacet
-    lists.
+    Cells come by nondecreasing dimension (checked in one C-level pass), so
+    the d-cells are the index range lo[d] .. lo[d+1] - 1.  One read of each
+    cell checks it: its facets lie in the range of dimension d - 1, a 1-cell
+    has two distinct endpoints, and for d >= 2 its boundary squares to zero
+    over GF(2): every index occurs an even number of times among the sorted
+    facets of its facets, iff s[::2] == s[1::2].
 
-    Dimensions 0 and 1: a 0-cell that nothing has reached yet is removed
-    as the seed of a new component, and a breadth-first spanning tree over
-    the 1-cells grows from it; each 0-cell it reaches is removed with the
-    1-cell that reached it, whose other endpoint was already gone.  Only
-    the 0-cells get lists of their 1-cells.
+    The same read feeds coreduction.  A 1-cell is listed under its two
+    endpoints; then a 0-cell nothing has reached yet is removed as the seed
+    of a new component, and a breadth-first spanning tree over the 1-cells
+    grows from it, removing each 0-cell it reaches with the 1-cell that
+    reached it.  A d-cell, d >= 2, whose read counts exactly one facet left
+    is removed with that facet; later passes revisit, in cell order, only
+    the cells left with two or more, until one removes nothing (at most 8
+    passes per dimension on the benchmark workloads, seeds 1, 7 and 7919,
+    and on Hom(petersen, K4)).  Removing a (d-1, d) pair changes the count
+    of facets left only in dimensions d and d + 1, so one sweep from the
+    bottom up is complete and needs no cofacet lists.
 
-    Dimension d >= 2: passes over the d-cells still present, in cell
-    order, each removing every cell with exactly one facet left together
-    with that facet.  A pass visits only the cells that the one before
-    left with two or more facets, and the dimension ends with a pass that
-    removes nothing.  So a dimension costs passes x cells: at most 8
-    passes, this last one included, on the benchmark workloads (seeds 1, 7
-    and 7919, three labellings each) and on Hom(petersen, K4).
-
-    Returns (mate, seeds).  mate[i] is -1 for a cell left in the residue, i
-    itself for a 0-cell taken as the seed of a component, and otherwise the
-    cell removed together with i: a coface whose only facet still present
-    was i, or that facet.  The residue, with the boundary restricted to it,
-    has the GF(2) homology of the whole complex minus one b_0 generator for
-    each of the `seeds` components.  A component is emptied of 0-cells
-    before the next seed only if every 1-cell has two distinct endpoints,
-    which betti_gf2 checks first.
+    mate[i] is -1 for a cell left in the residue, i for a seed, and
+    otherwise the cell removed with i.  The residue, with the boundary
+    restricted to it, has the GF(2) homology of the complex minus one b_0
+    generator per seed: two distinct endpoints per 1-cell leave each
+    component empty of 0-cells before the next seed.
     """
+    if not all(map(le, chain((0,), dims), dims)):
+        raise ConsistencyError("cells are not listed by nondecreasing "
+                               "dimension from 0")
+    top = dims[-1] if dims else -1
+    lo = [bisect_left(dims, d) for d in range(max(top, 1) + 2)]
+    f = [lo[d + 1] - lo[d] for d in range(top + 1)]
     mate = [-1] * len(dims)
-    star: dict[int, list[int]] = {v: [] for v in _cells_of(dims, 0)}
-    for e in _cells_of(dims, 1):
-        a, b = facets[e]
+    n0 = lo[1]
+    for v in range(n0):
+        if facets[v]:
+            raise ConsistencyError(f"0-cell {v} has a facet")
+    star: list[list[int]] = [[] for _ in range(n0)]
+    for e in range(n0, lo[2]):
+        fs = facets[e]
+        # a facet list not of length 2 fails as (0, 0): one end twice
+        a, b = fs if len(fs) == 2 else (0, 0)
+        if a == b or not (0 <= a < n0 and 0 <= b < n0):
+            raise ConsistencyError(
+                f"1-cell {e} does not join two distinct 0-cells")
         star[a].append(e)
         star[b].append(e)
     seeds = 0
-    for v in star:
+    for v in range(n0):
         if mate[v] >= 0:
             continue
         # a 0-cell nothing has reached yet starts a new component
@@ -323,12 +340,33 @@ def _coreduce(dims, facets):
                         mate[e] = w
                         reached.append(w)
     del star
-    for d in range(2, max(dims, default=-1) + 1):
-        todo = _cells_of(dims, d)
-        paired = True
+    for d in range(2, top + 1):
+        below, start = lo[d - 1], lo[d]
+        paired = False
+        todo = []  # cells with two or more facets left
+        for c in range(start, lo[d + 1]):
+            s = []  # the facets of the facets, with multiplicity
+            left = 0
+            for j in facets[c]:
+                if not below <= j < start:
+                    raise ConsistencyError(f"cell {c} (dim {d}) has a facet "
+                                           f"{j} of dim other than {d - 1}")
+                s += facets[j]
+                if mate[j] < 0:
+                    left += 1
+                    one = j
+            s.sort()
+            if s[::2] != s[1::2]:
+                raise ConsistencyError(f"boundary square nonzero at cell {c}")
+            if left == 1:
+                mate[c] = one
+                mate[one] = c
+                paired = True
+            elif left:
+                todo.append(c)
         while paired:
             paired = False
-            keep = []  # cells with two or more facets left
+            keep = []
             for c in todo:
                 one = -1
                 for j in facets[c]:
@@ -343,43 +381,7 @@ def _coreduce(dims, facets):
                         mate[one] = c
                         paired = True
             todo = keep
-    return mate, seeds
-
-
-def _cells_of(dims, d):
-    """The cells of dimension d, ascending, without building a list."""
-    return compress(count(), map(d.__eq__, dims))
-
-
-def _check_cells(dims, facets) -> list[int]:
-    """One pass over the cells: the f-vector, or ConsistencyError.
-
-    Every facet of a k-cell must have dimension k - 1, and a 1-cell must
-    have two distinct endpoints.  For a cell of dimension >= 2 the facets
-    of its facets are sorted: its boundary squares to zero over GF(2) iff
-    every index occurs an even number of times, iff s[::2] == s[1::2].
-    """
-    f = [0] * (max(dims, default=-1) + 1)
-    for i, fs in enumerate(facets):
-        d = dims[i]
-        f[d] += 1
-        below = d - 1
-        s = []  # the facets of the facets, with multiplicity
-        for j in fs:
-            if dims[j] != below:
-                raise ConsistencyError(
-                    f"cell {i} (dim {d}) has a facet of dim {dims[j]}")
-            s += facets[j]
-        if d >= 2:
-            s.sort()
-            if s[::2] != s[1::2]:
-                raise ConsistencyError(f"boundary square nonzero at cell {i}")
-        elif d == 1 and (len(fs) != 2 or fs[0] == fs[1]):
-            # coreduction seeds one 0-cell per component; that counts b_0
-            # only if every 1-cell joins two distinct 0-cells
-            raise ConsistencyError(
-                f"1-cell {i} does not have two distinct endpoints")
-    return f
+    return f, mate, seeds
 
 
 def _convolve(a, b) -> tuple[int, ...]:
@@ -398,12 +400,12 @@ def betti_gf2(c) -> BettiProfile:
     factors is their product: each factor takes the path below, and the
     Betti numbers and f-vector are the convolutions of theirs (Kunneth over
     a field), with the Euler characteristic read from that f-vector.
-    Otherwise the facet checks and the boundary-square check run cell by
-    cell on the whole complex (_check_cells), and coreduction sweeps it up
-    by dimension (_coreduce); neither builds a full boundary column or a
-    cofacet list.  GF(2) elimination runs only on the coreduction residue,
-    whose boundary matrices are checked against MATRIX_BIT_CAP before any
-    of their columns is built.
+    Otherwise one sweep up the dimensions checks every cell and removes
+    coreduction pairs (_check_and_coreduce), with no full boundary column
+    and no cofacet list.  GF(2) elimination runs only on the residue,
+    listed by dimension from the same index ranges; its boundary matrices
+    are checked against MATRIX_BIT_CAP before any of their columns is
+    built.
 
     The residue is ranked with clearing, from the top dimension down.  The
     rank of d_{k+1} reports its pivot rows, the lowest rows of its reduced
@@ -423,16 +425,12 @@ def betti_gf2(c) -> BettiProfile:
     dims, facets = c.chain_data()
     if not dims:
         return BettiProfile((), 0, ())
-    f = _check_cells(dims, facets)
-    mate, seeds = _coreduce(dims, facets)
+    f, mate, seeds = _check_and_coreduce(dims, facets)
     top = len(f) - 1
     # the residue by dimension; a cell's row is its place in its dimension
-    cells: list[list[int]] = [[] for _ in range(top + 1)]
-    local: dict[int, int] = {}
-    for i in [i for i, m in enumerate(mate) if m < 0]:
-        same_dim = cells[dims[i]]
-        local[i] = len(same_dim)
-        same_dim.append(i)
+    cells = [[i for i in range(a, b) if mate[i] < 0]
+             for a, b in pairwise([0, *accumulate(f)])]
+    local = {i: r for same_dim in cells for r, i in enumerate(same_dim)}
     rf = list(map(len, cells))
     for k in range(1, top + 1):
         if rf[k] * rf[k - 1] > MATRIX_BIT_CAP:

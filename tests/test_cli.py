@@ -171,6 +171,15 @@ def test_formulas_over_cap_exit_3(argv, capsys):
     assert capsys.readouterr().err.startswith("error: formula")
 
 
+@pytest.mark.parametrize("max_m,max_n", [("0", "6"), ("3", "0"),
+                                         ("-1", "6"), ("3", "-2")])
+def test_formulas_table_out_of_range_exit_2(max_m, max_n, capsys):
+    code = main(["formulas", "table", "--max-m", max_m, "--max-n", max_n])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: a table of f(m,n) needs max m, max n >= 1\n")
+
+
 def test_formulas_pretty(capsys):
     code, out = run(capsys, "formulas", "f", "--m", "3", "--n", "4",
                     "--pretty")

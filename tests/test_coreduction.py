@@ -1,8 +1,9 @@
 """Coreduction inside betti_gf2: differential properties against direct
-elimination over every cell, the columns that clearing leaves to rank, a
-certificate for the pairing it removes, the residue sizes that pin its sweep
-order, a strip that takes one pass per triangle, the traced memory of a run,
-and the Euler bookkeeping check."""
+elimination over every cell, the one sweep against a separate check and
+coreduction, the columns that clearing leaves to rank, a certificate for
+the pairing it removes, the residue sizes that pin its sweep order, a strip
+that takes one pass per triangle, the traced memory of a run, and the
+Euler bookkeeping check."""
 
 import os
 import subprocess
@@ -24,7 +25,7 @@ from homtopo.morse import PartialMatching, is_acyclic
 from homtopo.topology import (SimplicialComplex, betti_gf2, face_poset,
                               order_complex)
 from test_homcx import small_graphs
-from test_topology import OpenEdge, closure, posets
+from test_topology import OpenEdge, closure, perturbed_chain_data, posets
 
 
 def direct_betti(c):
@@ -53,11 +54,75 @@ def direct_betti(c):
 def residue_and_matching(c):
     """(residue cell dims, seeds, PartialMatching of the removed pairs)."""
     dims, facets = c.chain_data()
-    topology._check_cells(dims, facets)
-    mate, seeds = topology._coreduce(dims, facets)
+    _, mate, seeds = topology._check_and_coreduce(dims, facets)
     mu = {i: m for i, m in enumerate(mate) if m >= 0 and dims[m] > dims[i]}
     residue = [dims[i] for i, m in enumerate(mate) if m < 0]
     return residue, seeds, PartialMatching(face_poset(c), mu, carrier=c)
+
+
+def reference_check(dims, facets):
+    """Oracle: the check as a pass of its own over the cells in index
+    order, with no use of their order: the f-vector, or ConsistencyError."""
+    f = [0] * (max(dims, default=-1) + 1)
+    for i, fs in enumerate(facets):
+        d = dims[i]
+        f[d] += 1
+        s = []
+        for j in fs:
+            if dims[j] != d - 1:
+                raise ConsistencyError(f"cell {i} has a facet of dim {dims[j]}")
+            s += facets[j]
+        if d >= 2:
+            s.sort()
+            if s[::2] != s[1::2]:
+                raise ConsistencyError(f"boundary square nonzero at cell {i}")
+        elif d == 1 and (len(fs) != 2 or fs[0] == fs[1]):
+            raise ConsistencyError(f"1-cell {i} lacks two distinct endpoints")
+    return f
+
+
+def reference_coreduce(dims, facets):
+    """Oracle: coreduction as a sweep of its own, each dimension's cells
+    found by a scan over every cell: the spanning forest over the 1-cells,
+    then passes over each dimension from 2 up until one removes nothing.
+    Returns (mate, seeds)."""
+    mate = [-1] * len(dims)
+    star = {v: [] for v, d in enumerate(dims) if d == 0}
+    for e in [e for e, d in enumerate(dims) if d == 1]:
+        for v in facets[e]:
+            star[v].append(e)
+    seeds = 0
+    for v in star:
+        if mate[v] >= 0:
+            continue
+        mate[v] = v
+        seeds += 1
+        reached = [v]
+        for u in reached:
+            for e in star[u]:
+                if mate[e] < 0:
+                    a, b = facets[e]
+                    w = b if a == u else a
+                    if mate[w] < 0:
+                        mate[w] = e
+                        mate[e] = w
+                        reached.append(w)
+    for d in range(2, max(dims, default=-1) + 1):
+        todo = [c for c, dc in enumerate(dims) if dc == d]
+        paired = True
+        while paired:
+            paired = False
+            keep = []
+            for c in todo:
+                left = [j for j in facets[c] if mate[j] < 0]
+                if len(left) == 1:
+                    mate[c] = left[0]
+                    mate[left[0]] = c
+                    paired = True
+                elif left:
+                    keep.append(c)
+            todo = keep
+    return mate, seeds
 
 
 @st.composite
@@ -101,6 +166,43 @@ def test_swap_quotient_matches_direct(n):
     assert betti_gf2(q).betti == direct_betti(q) == (1,) * (n - 1)
 
 
+@st.composite
+def sweep_cases(draw):
+    """A random simplicial complex, the order complex of a random poset, a
+    small Hom complex with loops allowed on both sides, or the chain data of
+    a simplicial complex with one facet list perturbed."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(small_complexes()).chain_data()
+    if kind == 1:
+        return order_complex(draw(posets(max_n=10, top=4))).chain_data()
+    if kind == 2:
+        try:
+            return build_hom(draw(small_graphs(4)), draw(small_graphs(4)),
+                             budget=3000).chain_data()
+        except BudgetError:
+            reject()
+    return draw(perturbed_chain_data())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sweep_cases())
+@example(build_hom(cycle(5), complete(4)).chain_data())
+@example(OpenEdge().chain_data())
+def test_one_sweep_matches_check_then_coreduce(data):
+    dims, facets = data
+    if not dims:
+        reject()
+    try:
+        want = (reference_check(dims, facets),
+                *reference_coreduce(dims, facets))
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            topology._check_and_coreduce(dims, facets)
+    else:
+        assert topology._check_and_coreduce(dims, facets) == want
+
+
 # ------------------------------------------------------------ clearing
 
 class Cells:
@@ -118,8 +220,7 @@ def residue(c):
     the boundary of residue cell i restricted to the residue: each row is
     the place of a cell among the residue cells of its dimension."""
     dims, facets = c.chain_data()
-    topology._check_cells(dims, facets)
-    mate, _ = topology._coreduce(dims, facets)
+    _, mate, _ = topology._check_and_coreduce(dims, facets)
     cells = [[] for _ in range(max(dims) + 1)]
     row = {}
     for i, m in enumerate(mate):
@@ -299,7 +400,7 @@ def test_strip_against_the_sweep_takes_a_pass_per_triangle():
     assert residue == [] and seeds == 1
     assert is_acyclic(m)
     facets = CountedReads(c.facets, c.dims)
-    topology._coreduce(c.dims, facets)
+    topology._check_and_coreduce(c.dims, facets)
     # pass k visits the n - k + 1 triangles still present
     assert facets.reads >= n * (n + 1) // 2
 
@@ -327,13 +428,13 @@ def test_one_cells_need_two_endpoints():
 
 
 def test_euler_check_catches_a_miscounted_seed(monkeypatch):
-    real = topology._coreduce
+    real = topology._check_and_coreduce
 
     def one_seed_too_many(dims, facets):
-        mate, seeds = real(dims, facets)
-        return mate, seeds + 1
+        f, mate, seeds = real(dims, facets)
+        return f, mate, seeds + 1
 
-    monkeypatch.setattr(topology, "_coreduce", one_seed_too_many)
+    monkeypatch.setattr(topology, "_check_and_coreduce", one_seed_too_many)
     with pytest.raises(ConsistencyError):
         betti_gf2(build_hom(complete(2), complete(4)))
 
@@ -343,8 +444,9 @@ from homtopo import topology
 from homtopo.errors import ConsistencyError
 from homtopo.graphs import complete
 from homtopo.homcx import build_hom
-real = topology._coreduce
-topology._coreduce = lambda *data: (real(*data)[0], real(*data)[1] + 1)
+real = topology._check_and_coreduce
+topology._check_and_coreduce = lambda *data: (*real(*data)[:2],
+                                              real(*data)[2] + 1)
 try:
     topology.betti_gf2(build_hom(complete(2), complete(4)))
 except ConsistencyError:

@@ -2,6 +2,7 @@
 budget errors, and GF(2) rank, pivot row and span tests."""
 
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from homtopo import _kernels
 from homtopo._kernels import pure
 from homtopo.errors import BudgetError
-from homtopo.graphs import complete, cycle, from_edges, path
+from homtopo.graphs import bits, complete, cycle, from_edges, path
 from homtopo.homcx import build_hom
 from test_homcx import brute_cells, small_graphs
 
@@ -217,6 +218,55 @@ def test_targets_wider_than_one_table(g, h):
             with pytest.raises(BudgetError) as e:
                 walk(g.adj, h.adj, b)
             assert e.value.found == b + 1
+
+
+def plain_homs(g, h):
+    """Oracle: every map V(G) -> V(H) that sends each G-edge, loops too, to
+    an H-edge, packed one bit per field, ascending."""
+    return sorted(sum(1 << y << (g.n - 1 - x) * h.n for x, y in enumerate(f))
+                  for f in product(range(h.n), repeat=g.n)
+                  if all(h.adj[f[x]] >> f[z] & 1
+                         for x in range(g.n) for z in bits(g.adj[x])))
+
+
+@st.composite
+def twelve_vertex_targets(draw):
+    """Graphs on 12 vertices, one full common-neighbour table wide, with
+    loops on some vertices."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          max_size=40))
+    return from_edges(12, edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_graphs(3), twelve_vertex_targets())
+@example(complete(2), complete(12))
+@example(complete(1, looped=True), complete(12, looped=True))
+def test_zero_cells_into_twelve_vertices_match_a_plain_reference(g, h):
+    want = plain_homs(g, h)
+    assert pure.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
+    if want:
+        with pytest.raises(BudgetError) as e:
+            pure.enumerate_zero_cells(g.adj, h.adj, len(want) - 1)
+        assert e.value.found == len(want)
+
+
+def test_zero_cells_build_no_common_neighbour_table():
+    # a 0-cell walk looks up single bits, one row per target vertex; the
+    # 4,096-entry table that a cell walk into K12 reads takes ~170 KB traced
+    g, h = complete(2), complete(12)
+    tracemalloc.start()
+    try:
+        table = pure._common_neighbours(h.adj)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        del table
+        tracemalloc.reset_peak()
+        homs = pure.enumerate_zero_cells(g.adj, h.adj, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert homs == plain_homs(g, h) and len(homs) == 132
+    assert peak * 10 < table_peak
 
 
 def test_wide_target_builds_no_whole_mask_table():

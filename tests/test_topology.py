@@ -456,7 +456,7 @@ def dense_check(dims, facets) -> bool:
 
 def per_cell_accepts(dims, facets) -> bool:
     try:
-        topology._check_cells(dims, facets)
+        topology._check_and_coreduce(dims, facets)
     except ConsistencyError:
         return False
     return True
@@ -507,8 +507,7 @@ def test_per_cell_check_matches_dense_columns_on_fixtures(c):
 def _residue_shape(x):
     """Per dimension, the number of cells coreduction leaves in x."""
     dims, facets = x.chain_data()
-    f = topology._check_cells(dims, facets)
-    mate, _ = topology._coreduce(dims, facets)
+    f, mate, _ = topology._check_and_coreduce(dims, facets)
     rf = [0] * len(f)
     for i, m in enumerate(mate):
         if m < 0:
@@ -547,3 +546,29 @@ def test_consistency_guards():
     for broken in BROKEN:
         with pytest.raises(ConsistencyError):
             betti_gf2(broken())
+
+
+class EdgeBeforeEnds:
+    # a valid 1-cell listed before its two endpoints
+    def chain_data(self):
+        return [1, 0, 0], [[1, 2], [], []]
+
+
+class TriangleAmongEdges:
+    # a filled triangle whose 2-cell is listed before its last edge
+    def chain_data(self):
+        return ([0, 0, 0, 1, 1, 2, 1],
+                [[], [], [], [0, 1], [1, 2], [3, 4, 6], [0, 2]])
+
+
+@pytest.mark.parametrize("c", [EdgeBeforeEnds(), TriangleAmongEdges()],
+                         ids=["edge-before-ends", "triangle-among-edges"])
+def test_cells_out_of_dimension_order_are_inconsistent(c):
+    # the same cells in dimension order are a valid complex
+    dims, facets = c.chain_data()
+    at = sorted(range(len(dims)), key=dims.__getitem__)
+    new = {i: k for k, i in enumerate(at)}
+    assert dense_check(sorted(dims), [sorted(new[j] for j in facets[i])
+                                      for i in at])
+    with pytest.raises(ConsistencyError, match="nondecreasing dimension"):
+        betti_gf2(c)
