@@ -28,7 +28,6 @@ the lift, so faces match too.  Heights and bounds do not use it.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_, rshift
@@ -38,8 +37,8 @@ from ._kernels import gf2_in_span
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import (SimplicialComplex, betti_gf2, f_vector, face_poset,
-                       order_complex, skeleton_labels)
+from .topology import (SimplicialComplex, betti_gf2, connected_components,
+                       dim_ranges, f_vector, face_poset, order_complex)
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class OrbitComplex:
 
     x must list its cells in dimension order, as the chain-data protocol
     of topology requires; orbits are numbered by their lower cell index,
-    so they come in that order too, and start[d] bisects it.
+    so topology's dim_ranges finds _start[d], the first orbit of dimension d.
     reps[t] is the cell chosen to stand for orbit t.
     """
 
@@ -123,10 +122,9 @@ class OrbitComplex:
         self.complex = x
         self.reps = reps
         self._chain = (dims, facets)
-        # start[d] = first orbit of dimension d; start[dim + 1] = len(self)
-        self._start = [bisect_left(dims, d)
-                       for d in range(max(dims, default=-1) + 2)]
-        self._w = [(1 << dims.count(0)) - 1]  # w_1^0: the all-ones 0-cochain
+        self._start = dim_ranges(dims)
+        # w_1^0: the all-ones 0-cochain, one bit per 0-orbit
+        self._w = [(1 << (self._start[1] if dims else 0)) - 1]
 
     def __len__(self):
         return len(self.reps)
@@ -210,10 +208,13 @@ def sw_height(x, a: Involution, cap: int | None = None,
 
 
 def has_invariant_component(x, a: Involution) -> bool:
-    """Is some connected component mapped to itself?  (Blocks maps to S^0.)"""
-    dims, labels = skeleton_labels(x)
-    return any(dims[i] == 0 and labels[i] == labels[a.perm[i]]
-               for i in range(len(dims)))
+    """Is some connected component mapped to itself?  (Blocks maps to S^0.)
+
+    A fixed cell lies in one.  A free involution swaps the c - fixed
+    components it does not fix in pairs, so X/a has (c + fixed) / 2.
+    """
+    return (not a.free or 2 * connected_components(orbit_complex(x, a))
+            > connected_components(x))
 
 
 def _swap_map(m: int) -> tuple[int, ...]:

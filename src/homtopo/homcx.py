@@ -68,9 +68,6 @@ class HomComplex:
             key = key << w | m
         return key
 
-    def dim_of_key(self, key: int) -> int:
-        return key.bit_count() - self.n_g
-
     def index(self) -> dict[int, int]:
         if self._index is None:
             index = {k: i for i, k in enumerate(self.keys)}
@@ -95,7 +92,8 @@ class HomComplex:
 
     @property
     def dim(self) -> int:
-        return max((self.dim_of_key(k) for k in self.keys), default=-1)
+        # the keys are sorted by popcount, so the last one has the top dimension
+        return self.keys[-1].bit_count() - self.n_g if self.keys else -1
 
     def chain_data(self):
         """(dims, facets): per cell its dimension and ascending facet indices.

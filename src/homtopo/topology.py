@@ -3,9 +3,11 @@
 Every complex object in the package exposes `chain_data() -> (dims, facets)`
 where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
 the codimension-1 faces of cell i (each exactly once: regular CW / ordered
-Delta-complex boundary over GF(2)).  The cells are listed by nondecreasing
-dimension from 0, so each dimension's cells are one index range; betti_gf2
-checks that order.  The functions here consume only that.
+Delta-complex boundary over GF(2)), cells by nondecreasing dimension from
+0.  The functions here consume only that, and one reader knows the layout:
+dim_ranges checks the order and gives each dimension's index range
+(f_vector is their lengths); _spanning_forest checks the 0- and 1-cells
+and grows one spanning forest, whose seeds count the components.
 
 `SimplicialComplex` is the one simplicial complex class: simplices are
 vertex tuples, and a simplex's facets are the tuples one vertex shorter.
@@ -19,21 +21,20 @@ so the per-simplex work runs in C-level map and itemgetter calls.  Each
 row is sorted: a chain lists its elements least first, not in ascending
 index order, so the indices of its facets need not ascend.
 
-`betti_gf2` sweeps the dimensions once, from the bottom up, over each one's
-index range.  It checks each cell on one read (facet dimensions, two
-endpoints per 1-cell, and the boundary of the boundary of that cell over
-GF(2), from the sorted facets of its facets), with no full boundary column
-and no cofacet list, and the same read counts the cell's facets left for
-Mrozek-Batko coreduction (Mrozek & Batko, "Coreduction homology
-algorithm", DCG 41, 2009): a spanning forest over the 1-cells, then
-in-order passes over each dimension from 2 up, which need only the
-facets.  GF(2) elimination runs only on the cells that are left;
-MATRIX_BIT_CAP bounds those residue matrices, checked before any of their
-columns is built.  The residue is ranked from its top dimension down with
-clearing (Chen & Kerber, "Persistent homology computation with a twist",
-EuroCG 2011): a reduced column of d_{k+1} whose lowest bit is row i makes
-column i of d_k a sum of the columns after it, so that column is never
-built.
+`betti_gf2` starts from that forest and sweeps the dimensions from 2 up,
+over each one's range.  It checks each cell on one read (facet dimensions
+and a nonempty boundary whose boundary is zero over GF(2), from the sorted
+facets of its facets), with no full boundary column and no cofacet list,
+and the same read counts the cell's facets left for Mrozek-Batko
+coreduction (Mrozek & Batko, "Coreduction homology algorithm", DCG 41,
+2009): the forest pairs 0-cells with 1-cells, then in-order passes over
+each dimension need only the facets.  GF(2) elimination runs only on the
+cells that are left; MATRIX_BIT_CAP bounds those residue matrices, checked
+before any of their columns is built.  The residue is ranked from its top
+dimension down with clearing (Chen & Kerber, "Persistent homology
+computation with a twist", EuroCG 2011): a reduced column of d_{k+1} whose
+lowest bit is row i makes column i of d_k a sum of the columns after it,
+so that column is never built.
 
 A complex may also offer `factors()`, complexes whose product it is cell by
 cell (HomComplex does for a disconnected source, after checking the
@@ -48,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, groupby, pairwise
+from itertools import chain, groupby, islice, pairwise
 from operator import itemgetter, le
 
 from ._kernels import gf2_rank
@@ -233,13 +234,8 @@ def order_complex(p: Poset, mask: int | None = None) -> SimplicialComplex:
 
 
 def f_vector(c) -> tuple[int, ...]:
-    dims, _ = c.chain_data()
-    if not dims:
-        return ()
-    out = [0] * (max(dims) + 1)
-    for d in dims:
-        out[d] += 1
-    return tuple(out)
+    """Cells per dimension: the lengths of the dimension ranges."""
+    return tuple(b - a for a, b in pairwise(dim_ranges(c.chain_data()[0])))
 
 
 def merge_classes(n: int, pairs) -> list[int]:
@@ -258,62 +254,38 @@ def merge_classes(n: int, pairs) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def skeleton_labels(c) -> tuple[list[int], list[int]]:
-    """(dims, labels): cells with equal labels lie in one component of the
-    1-skeleton of c."""
-    dims, facets = c.chain_data()
-    return dims, merge_classes(len(dims), ((i, j) for i, d in enumerate(dims)
-                                           if d == 1 for j in facets[i]))
-
-
 def connected_components(c) -> int:
-    """Components of the 1-skeleton; equals b_0 by CW connectivity."""
-    dims, labels = skeleton_labels(c)
-    return len({labels[i] for i, d in enumerate(dims) if d == 0})
+    """Components of the 1-skeleton (b_0): the spanning forest's seeds."""
+    return _spanning_forest(*c.chain_data())[2]
 
 
-def _check_and_coreduce(dims, facets):
-    """Check the cells and remove Mrozek-Batko coreduction pairs in one
-    sweep up the dimensions: (f, mate, seeds), or ConsistencyError.
-
-    Cells come by nondecreasing dimension (checked in one C-level pass), so
-    the d-cells are the index range lo[d] .. lo[d+1] - 1.  One read of each
-    cell checks it: its facets lie in the range of dimension d - 1, a 1-cell
-    has two distinct endpoints, and for d >= 2 its boundary squares to zero
-    over GF(2): every index occurs an even number of times among the sorted
-    facets of its facets, iff s[::2] == s[1::2].
-
-    The same read feeds coreduction.  A 1-cell is listed under its two
-    endpoints; then a 0-cell nothing has reached yet is removed as the seed
-    of a new component, and a breadth-first spanning tree over the 1-cells
-    grows from it, removing each 0-cell it reaches with the 1-cell that
-    reached it.  A d-cell, d >= 2, whose read counts exactly one facet left
-    is removed with that facet; later passes revisit, in cell order, only
-    the cells left with two or more, until one removes nothing (at most 8
-    passes per dimension on the benchmark workloads, seeds 1, 7 and 7919,
-    and on Hom(petersen, K4)).  Removing a (d-1, d) pair changes the count
-    of facets left only in dimensions d and d + 1, so one sweep from the
-    bottom up is complete and needs no cofacet lists.
-
-    mate[i] is -1 for a cell left in the residue, i for a seed, and
-    otherwise the cell removed with i.  The residue, with the boundary
-    restricted to it, has the GF(2) homology of the complex minus one b_0
-    generator per seed: two distinct endpoints per 1-cell leave each
-    component empty of 0-cells before the next seed.
-    """
+def dim_ranges(dims) -> list[int]:
+    """lo, the d-cells being lo[d] .. lo[d + 1] - 1; ConsistencyError unless
+    the cells come by nondecreasing dimension from 0 (one C-level pass)."""
     if not all(map(le, chain((0,), dims), dims)):
         raise ConsistencyError("cells are not listed by nondecreasing "
                                "dimension from 0")
-    top = dims[-1] if dims else -1
-    lo = [bisect_left(dims, d) for d in range(max(top, 1) + 2)]
-    f = [lo[d + 1] - lo[d] for d in range(top + 1)]
+    return [bisect_left(dims, d) for d in range(dims[-1] + 2 if dims else 1)]
+
+
+def _spanning_forest(dims, facets):
+    """(dim_ranges(dims), mate, seeds), or ConsistencyError unless every
+    0-cell has no facets and every 1-cell joins two distinct 0-cells.
+
+    A 0-cell nothing has reached yet seeds a new component, and a tree over
+    the 1-cells grows from it breadth first, pairing each 0-cell it reaches
+    with the 1-cell that reached it: mate[i] is i for a seed, the cell
+    paired with i, or -1.  seeds counts the components of the 1-skeleton.
+    """
+    lo = dim_ranges(dims)
+    # lo[1] and lo[2]; every range past the top dimension ends at len(dims)
+    n0, n01 = (*lo, len(dims), len(dims))[1:3]
     mate = [-1] * len(dims)
-    n0 = lo[1]
     for v in range(n0):
         if facets[v]:
             raise ConsistencyError(f"0-cell {v} has a facet")
     star: list[list[int]] = [[] for _ in range(n0)]
-    for e in range(n0, lo[2]):
+    for e in range(n0, n01):
         fs = facets[e]
         # a facet list not of length 2 fails as (0, 0): one end twice
         a, b = fs if len(fs) == 2 else (0, 0)
@@ -326,7 +298,6 @@ def _check_and_coreduce(dims, facets):
     for v in range(n0):
         if mate[v] >= 0:
             continue
-        # a 0-cell nothing has reached yet starts a new component
         mate[v] = v
         seeds += 1
         reached = [v]
@@ -339,8 +310,35 @@ def _check_and_coreduce(dims, facets):
                         mate[w] = e
                         mate[e] = w
                         reached.append(w)
-    del star
-    for d in range(2, top + 1):
+    return lo, mate, seeds
+
+
+def _check_and_coreduce(dims, facets):
+    """Check the cells and remove Mrozek-Batko coreduction pairs in one
+    sweep up the dimensions: (f, mate, seeds), or ConsistencyError.
+
+    _spanning_forest checks the order and the 0- and 1-cells and pairs the
+    forest's.  From dimension 2 up, one read of each d-cell checks that its
+    facets lie in the range of dimension d - 1 and that its boundary is
+    nonempty and squares to zero over GF(2): every index occurs an even
+    number of times among the sorted facets of its facets, iff s[::2] ==
+    s[1::2] (by induction up the dimensions, s is empty only when the facet
+    list is).  The same read counts the cell's facets left: a cell with
+    exactly one is removed with that facet; later passes revisit, in cell
+    order, only the cells left with two or more, until one removes nothing
+    (at most 8 passes per dimension on the benchmark workloads, seeds 1, 7
+    and 7919, and on Hom(petersen, K4)).  Removing a (d-1, d) pair changes
+    the count of facets left only in dimensions d and d + 1, so one sweep
+    from the bottom up is complete and needs no cofacet lists.
+
+    mate[i] is -1 for a cell left in the residue, i for a seed, and
+    otherwise the cell removed with i.  The residue, with the boundary
+    restricted to it, has the GF(2) homology of the complex minus one b_0
+    generator per seed: two distinct endpoints per 1-cell leave each
+    component empty of 0-cells before the next seed.
+    """
+    lo, mate, seeds = _spanning_forest(dims, facets)
+    for d in range(2, len(lo) - 1):
         below, start = lo[d - 1], lo[d]
         paired = False
         todo = []  # cells with two or more facets left
@@ -356,8 +354,9 @@ def _check_and_coreduce(dims, facets):
                     left += 1
                     one = j
             s.sort()
-            if s[::2] != s[1::2]:
-                raise ConsistencyError(f"boundary square nonzero at cell {c}")
+            if not s or s[::2] != s[1::2]:
+                raise ConsistencyError(f"boundary of cell {c} is empty or "
+                                       "does not square to zero")
             if left == 1:
                 mate[c] = one
                 mate[one] = c
@@ -381,7 +380,7 @@ def _check_and_coreduce(dims, facets):
                         mate[one] = c
                         paired = True
             todo = keep
-    return f, mate, seeds
+    return [b - a for a, b in pairwise(lo)], mate, seeds
 
 
 def _convolve(a, b) -> tuple[int, ...]:
@@ -427,9 +426,10 @@ def betti_gf2(c) -> BettiProfile:
         return BettiProfile((), 0, ())
     f, mate, seeds = _check_and_coreduce(dims, facets)
     top = len(f) - 1
-    # the residue by dimension; a cell's row is its place in its dimension
-    cells = [[i for i in range(a, b) if mate[i] < 0]
-             for a, b in pairwise([0, *accumulate(f)])]
+    # the residue by dimension, each range taking the next f[d] indices; a
+    # cell's row is its place in its dimension
+    ids = iter(range(len(dims)))
+    cells = [[i for i in islice(ids, n) if mate[i] < 0] for n in f]
     local = {i: r for same_dim in cells for r, i in enumerate(same_dim)}
     rf = list(map(len, cells))
     for k in range(1, top + 1):

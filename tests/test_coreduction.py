@@ -25,7 +25,8 @@ from homtopo.morse import PartialMatching, is_acyclic
 from homtopo.topology import (SimplicialComplex, betti_gf2, face_poset,
                               order_complex)
 from test_homcx import small_graphs
-from test_topology import OpenEdge, closure, perturbed_chain_data, posets
+from test_topology import (EmptyBoundary, OpenEdge, closure, perturbed_chain_data,
+                           posets)
 
 
 def direct_betti(c):
@@ -74,8 +75,9 @@ def reference_check(dims, facets):
             s += facets[j]
         if d >= 2:
             s.sort()
-            if s[::2] != s[1::2]:
-                raise ConsistencyError(f"boundary square nonzero at cell {i}")
+            if not fs or s[::2] != s[1::2]:
+                raise ConsistencyError(f"boundary of cell {i} is empty or "
+                                       "does not square to zero")
         elif d == 1 and (len(fs) != 2 or fs[0] == fs[1]):
             raise ConsistencyError(f"1-cell {i} lacks two distinct endpoints")
     return f
@@ -189,6 +191,7 @@ def sweep_cases(draw):
 @given(sweep_cases())
 @example(build_hom(cycle(5), complete(4)).chain_data())
 @example(OpenEdge().chain_data())
+@example(EmptyBoundary().chain_data())
 def test_one_sweep_matches_check_then_coreduce(data):
     dims, facets = data
     if not dims:

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homtopo import _kernels, equivariant, topology
@@ -219,6 +219,7 @@ def test_fixed_cell_detected():
         orbit_complex(x, a)
     with pytest.raises(DomainError):
         sw_height(x, a)
+    assert has_invariant_component(x, a)  # the component of a fixed cell
 
 
 QUOTIENT_CASES = {
@@ -371,6 +372,43 @@ def test_invariant_component_values():
     assert has_invariant_component(x, a)  # the hexagon is connected
     x, a = flip_complex(disjoint_union(complete(2), complete(2)))
     assert not has_invariant_component(x, a)  # four points swapped in pairs
+
+
+def invariant_component_by_labels(x, a):
+    """Oracle: union-find labels over the 1-skeleton of x, then a 0-cell
+    whose image under a carries its label."""
+    dims, facets = x.chain_data()
+    parent = list(range(len(dims)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for e, d in enumerate(dims):
+        if d == 1:
+            for v in facets[e]:
+                parent[find(v)] = find(e)
+    return any(d == 0 and find(i) == find(a.perm[i])
+               for i, d in enumerate(dims))
+
+
+@st.composite
+def loopless_graphs(draw, max_n):
+    """Any loopless graph on 1..max_n vertices, disconnected ones included."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(loopless_graphs(6))
+@example(disjoint_union(complete(2), complete(3)))  # one of 3 is invariant
+def test_invariant_component_matches_union_find_labels(h):
+    x, a = flip_complex(h)
+    assert has_invariant_component(x, a) == invariant_component_by_labels(x, a)
 
 
 def test_coloring_bound():

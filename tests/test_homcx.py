@@ -58,7 +58,7 @@ def test_storage_order_and_packing():
     assert order == sorted(order)
     for k in x.keys:
         assert x.key_of(x.cell_of(k)) == k
-        assert x.dim_of_key(k) == sum(m.bit_count() for m in x.cell_of(k)) - 3
+        assert k.bit_count() == sum(m.bit_count() for m in x.cell_of(k))
     assert x.dim == 1  # Hom(K_3,K_4) is a graph
     with pytest.raises(DomainError):
         x.key_of((1, 1))
@@ -88,7 +88,7 @@ def test_facets_drop_one_bit():
 def test_missing_face_is_inconsistent():
     x = build_hom(cycle(4), complete(3))
     # drop one 1-cell: the 2-cells above it lose a face
-    gone = next(k for k in x.keys if x.dim_of_key(k) == 1)
+    gone = next(k for k in x.keys if k.bit_count() - x.n_g == 1)
     broken = HomComplex(x.g, x.h, [k for k in x.keys if k != gone])
     with pytest.raises(ConsistencyError, match="not face-closed"):
         broken.chain_data()
@@ -142,6 +142,12 @@ def test_empty_complex():
     x = build_hom(complete(3), complete(2))
     assert len(x) == 0 and x.cells() == []
     assert f_vector(x) == ()
+
+
+@pytest.mark.parametrize("g,h", ORACLE_PAIRS + [(complete(3), complete(2))])
+def test_dim_is_the_top_of_the_f_vector(g, h):
+    x = build_hom(g, h)
+    assert x.dim == len(f_vector(x)) - 1
 
 
 def test_disjoint_source_is_product():
@@ -419,7 +425,7 @@ def test_hand_built_complex_is_not_split():
 def test_subcomplex_takes_the_generic_path():
     # the 2-skeleton is face-closed and a proper subcomplex, not a product
     x = build_hom(disjoint_union(path(3), path(2)), complete(3))
-    sub = HomComplex(x.g, x.h, [k for k in x.keys if x.dim_of_key(k) <= 2])
+    sub = HomComplex(x.g, x.h, [k for k in x.keys if k.bit_count() - x.n_g <= 2])
     assert SPLIT_MIN_CELLS <= len(sub) < len(x)
     assert sub.factors() == ()
     assert betti_gf2(sub) == betti_gf2(Generic(sub))

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homtopo import topology
+from homtopo.equivariant import induced_involution, orbit_complex
 from homtopo.errors import ConsistencyError, DomainError, ResourceError
-from homtopo.graphs import bits, complete, cycle
+from homtopo.graphs import bits, complete, cycle, disjoint_union
 from homtopo.homcx import build_hom
 from homtopo.topology import (Poset, SimplicialComplex, betti_gf2,
                               connected_components, f_vector, face_poset,
@@ -170,9 +171,19 @@ def naive_components(c):
     return out
 
 
+def flip_orbits(h):
+    """The orbit complex of the flip of K_2 acting on Hom(K_2, h)."""
+    x = build_hom(complete(2), h)
+    return orbit_complex(x, induced_involution(x, (1, 0)))
+
+
 @pytest.mark.parametrize("c", [
     sphere(1), rp2(), simplex(2),
     SimplicialComplex(closure([0b00011, 0b01100, 0b10000])),
+    build_hom(cycle(6), complete(3)),  # 7 components
+    # the swapped points of Hom(K_2,K_2), and the hexagon of Hom(K_2,K_3)
+    # folded onto itself: 2 components
+    flip_orbits(disjoint_union(complete(2), complete(3))),
 ])
 def test_components_oracle(c):
     assert connected_components(c) == naive_components(c)
@@ -419,14 +430,22 @@ class ThreeParallelEdges:
         return [0, 0, 1, 1, 1, 2], [[], [], [0, 1], [0, 1], [0, 1], [2, 3, 4]]
 
 
-BROKEN = [BrokenFacetDim, BrokenSquare, OpenEdge, ThreeParallelEdges]
+class EmptyBoundary:
+    # a 2-cell with no facets beside a point: the sweep would read it as a
+    # 2-sphere, (1, 0, 1)
+    def chain_data(self):
+        return [0, 2], [[], []]
+
+
+BROKEN = [BrokenFacetDim, BrokenSquare, OpenEdge, ThreeParallelEdges,
+          EmptyBoundary]
 
 
 def dense_check(dims, facets) -> bool:
-    """Oracle: does chain data pass the facet-dimension, endpoint and
-    boundary-square checks?  Builds every full boundary column, one bit per
-    cell of the dimension below, and XORs the columns of each cell's
-    facets."""
+    """Oracle: does chain data pass the facet-dimension, endpoint,
+    nonempty-boundary and boundary-square checks?  Builds every full
+    boundary column, one bit per cell of the dimension below, and XORs the
+    columns of each cell's facets."""
     top = max(dims)
     local = [0] * len(dims)
     buckets = [[] for _ in range(top + 1)]
@@ -443,6 +462,8 @@ def dense_check(dims, facets) -> bool:
                     return False
                 col |= 1 << local[j]
             if k == 1 and (col.bit_count() != 2 or len(facets[i]) != 2):
+                return False
+            if k and not facets[i]:
                 return False
             acc = 0
             for j in facets[i]:
@@ -570,5 +591,13 @@ def test_cells_out_of_dimension_order_are_inconsistent(c):
     new = {i: k for k, i in enumerate(at)}
     assert dense_check(sorted(dims), [sorted(new[j] for j in facets[i])
                                       for i in at])
-    with pytest.raises(ConsistencyError, match="nondecreasing dimension"):
-        betti_gf2(c)
+    for read in (betti_gf2, f_vector, connected_components):
+        with pytest.raises(ConsistencyError, match="nondecreasing dimension"):
+            read(c)
+
+
+def test_components_need_two_endpoints_per_edge():
+    # f_vector reads only the dimension ranges; the forest reads the edges
+    assert f_vector(OpenEdge()) == (1, 1)
+    with pytest.raises(ConsistencyError, match="two distinct 0-cells"):
+        connected_components(OpenEdge())
