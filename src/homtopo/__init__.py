@@ -3,8 +3,7 @@
 from ._kernels import BACKEND  # read only by perfbench/worker.py
 from .equivariant import (Involution, OrbitComplex, coloring_bound,
                           equivariant_report, has_invariant_component,
-                          induced_involution, orbit_complex, quotient,
-                          sw_height)
+                          induced_involution, quotient, sw_height)
 from .errors import (BudgetError, ConsistencyError, DomainError, HomtopoError,
                      ResourceError)
 from .folds import (DominationRecord, ReductionTrace, core_uniqueness_check,

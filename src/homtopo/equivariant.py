@@ -44,8 +44,11 @@ from .topology import (SimplicialComplex, betti_gf2, connected_components,
 @dataclass(frozen=True)
 class Involution:
     perm: tuple[int, ...]       # on cell indices
-    free: bool
     fixed: tuple[int, ...]      # fixed cell indices, if any
+
+    @property
+    def free(self) -> bool:
+        return not self.fixed
 
 
 def induced_involution(x: HomComplex, gamma) -> Involution:
@@ -83,7 +86,7 @@ def induced_involution(x: HomComplex, gamma) -> Involution:
         raise DomainError(f"cell {x.cell_label(i)} has its image under "
                           f"gamma outside the complex") from None
     fixed = tuple(i for i, j in enumerate(perm) if i == j)
-    return Involution(perm, not fixed, fixed)
+    return Involution(perm, fixed)
 
 
 def _require_free(x: HomComplex, a: Involution) -> None:
@@ -98,7 +101,8 @@ class OrbitComplex:
     x must list its cells in dimension order, as the chain-data protocol
     of topology requires; orbits are numbered by their lower cell index,
     so topology's dim_ranges finds _start[d], the first orbit of dimension d.
-    reps[t] is the cell chosen to stand for orbit t.
+    reps[t] is the cell chosen to stand for orbit t: the lower cell index of
+    each orbit, or, given `rep_seed`, either cell at random from that seed.
     """
 
     def __init__(self, x, a: Involution, rep_seed: int | None = None):
@@ -171,40 +175,34 @@ class OrbitComplex:
         return self._w[k]
 
 
-def orbit_complex(x, a: Involution, rep_seed: int | None = None) -> OrbitComplex:
-    """The orbit complex of `a`; `rep_seed` picks the representative sheet
-    at random (None: the lower cell index of each orbit)."""
-    return OrbitComplex(x, a, rep_seed)
-
-
 def quotient(x, a: Involution) -> SimplicialComplex:
     """The barycentric-subdivision quotient X/a: the order complex of the
     face poset of the orbit complex."""
-    return order_complex(face_poset(orbit_complex(x, a)))
+    return order_complex(face_poset(OrbitComplex(x, a)))
 
 
-def _height(q: OrbitComplex, cap: int | None) -> int:
+def _height(q: OrbitComplex) -> int:
     top = q.dim
-    cap = top if cap is None else min(cap, top)
     f = f_vector(q)
-    for k in range(1, cap + 1):
+    for k in range(1, top + 1):
         if f[k - 1] * f[k] > topology.MATRIX_BIT_CAP:
             raise ResourceError(f"coboundary matrix {f[k - 1]}x{f[k]} exceeds "
                                 f"{topology.MATRIX_BIT_CAP} bits")
-    for k in range(1, cap + 1):
+    for k in range(1, top + 1):
         if gf2_in_span(q.coboundary_columns(k), q.w_power_vector(k)):
             return k - 1
-    return cap
+    return top
 
 
-def sw_height(x, a: Involution, cap: int | None = None,
-              rep_seed: int | None = None) -> int:
-    """Largest k with w_1^k != 0 on the quotient (0 if w_1 = 0), at most `cap`.
+def sw_height(x, a: Involution, rep_seed: int | None = None) -> int:
+    """Largest k with w_1^k != 0 on the quotient (0 if w_1 = 0).
 
-    Every coboundary matrix up to `cap` is checked against MATRIX_BIT_CAP
-    before any elimination runs.
+    `rep_seed` picks each orbit's representative cell at random from that
+    seed (None: the lower cell index); the height does not depend on it.
+    Every coboundary matrix is checked against MATRIX_BIT_CAP before any
+    elimination runs.
     """
-    return _height(orbit_complex(x, a, rep_seed), cap)
+    return _height(OrbitComplex(x, a, rep_seed))
 
 
 def has_invariant_component(x, a: Involution) -> bool:
@@ -213,7 +211,7 @@ def has_invariant_component(x, a: Involution) -> bool:
     A fixed cell lies in one.  A free involution swaps the c - fixed
     components it does not fix in pairs, so X/a has (c + fixed) / 2.
     """
-    return (not a.free or 2 * connected_components(orbit_complex(x, a))
+    return (not a.free or 2 * connected_components(OrbitComplex(x, a))
             > connected_components(x))
 
 
@@ -233,15 +231,15 @@ def _swap_action(g: Graph, m: int, budget: int | None):
     return x, induced_involution(x, _swap_map(m))
 
 
-def coloring_bound(g: Graph, m: int = 2, budget: int | None = None) -> int:
+def coloring_bound(g: Graph, m: int = 2) -> int:
     """Chromatic lower bound sw_height(Hom(K_m,g), swap) + m."""
-    return sw_height(*_swap_action(g, m, budget)) + m
+    return sw_height(*_swap_action(g, m, None)) + m
 
 
 def equivariant_report(g: Graph, m: int = 2, budget: int | None = None) -> dict:
     x, a = _swap_action(g, m, budget)
-    q = orbit_complex(x, a)
-    k = _height(q, None)
+    q = OrbitComplex(x, a)
+    k = _height(q)
     return {"free": a.free,
             "quotient_betti": list(betti_gf2(q).betti),
             "sw_height": k,

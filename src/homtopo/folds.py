@@ -15,7 +15,6 @@ CORE_ISO_CAP = 12
 class DominationRecord:
     u: int          # dominating vertex
     v: int          # dominated vertex
-    kind: str       # "equivalent" | "strong"
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,8 @@ class ReductionTrace:
 
 def dominated_pairs(g: Graph) -> list[DominationRecord]:
     """All ordered (u,v), u != v, with N(v) a subset of N(u)."""
-    out = []
-    for v in range(g.n):
-        nv = g.adj[v]
-        for u in range(g.n):
-            if u == v:
-                continue
-            if nv & ~g.adj[u] == 0:
-                kind = "equivalent" if nv == g.adj[u] else "strong"
-                out.append(DominationRecord(u, v, kind))
-    return out
+    return [DominationRecord(u, v) for v in range(g.n)
+            for u in _dominators_of(g, v)]
 
 
 def _dominators_of(g: Graph, v: int) -> list[int]:

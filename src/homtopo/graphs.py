@@ -160,11 +160,9 @@ def parse_graph_name(name: str) -> Graph:
 
 # ------------------------------------------------------------- operations
 
-def complement(g: Graph, looped: bool = False) -> Graph:
-    """Complement within V x V; `looped` complements the diagonal too."""
+def complement(g: Graph) -> Graph:
+    """The loopless complement: u ~ v for u != v not adjacent in g."""
     full = g.vertex_mask
-    if looped:
-        return Graph(g.n, tuple(full & ~row for row in g.adj))
     return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from .errors import BudgetError, DomainError
 from .formulas import kmn_cells
 from .graphs import Graph, bits, complete
-from .homcx import HomComplex, build_hom, cell_budget, neighborhood_complex
-from .topology import Poset, betti_gf2, face_poset, order_complex
+from .homcx import CELL_BUDGET, HomComplex, build_hom, neighborhood_complex
+from .topology import Poset, face_poset
 
 
 @dataclass
@@ -72,7 +72,7 @@ def is_acyclic(m: PartialMatching) -> bool:
     return True
 
 
-def kmn_matching(m: int, n: int, budget: int | None = None):
+def kmn_matching(m: int, n: int):
     """The collapse matching on A_1 inside Hom(K_m,K_n).
 
     A_1 keeps the cells whose entries away from vertex 0 avoid the last
@@ -80,17 +80,16 @@ def kmn_matching(m: int, n: int, budget: int | None = None):
     eta(0) extended by it.  Returns (matching, critical subcomplex); the
     critical cells are exactly those with eta(0) = {last}.
 
-    The cell count of Hom(K_m,K_n) is checked against the budget before
+    The cell count of Hom(K_m,K_n) is checked against CELL_BUDGET before
     anything is enumerated.
     """
     if not 2 <= m <= n:
         raise DomainError(f"need 2 <= m <= n, got ({m},{n})")
-    budget = cell_budget(budget)
     cells = kmn_cells(m, n)
-    if cells > budget:
-        raise BudgetError(f"cell budget {budget} exceeded: Hom(K_{m},K_{n}) "
-                          f"has {cells} cells", found=cells)
-    x = build_hom(complete(m), complete(n), budget)
+    if cells > CELL_BUDGET:
+        raise BudgetError(f"cell budget {CELL_BUDGET} exceeded: "
+                          f"Hom(K_{m},K_{n}) has {cells} cells", found=cells)
+    x = build_hom(complete(m), complete(n))
     w = n
     last = n - 1
     shift0 = (m - 1) * w
@@ -136,17 +135,6 @@ def critical_drops_to_smaller(critical: HomComplex, m: int, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Falsy failure carrier for the fiber conditions."""
-
-    p: int
-    q: int
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
 class PosetMap:
     source: Poset
     target: Poset
@@ -175,11 +163,9 @@ def _greatest(p: Poset, mask: int):
     return None
 
 
-def check_quillen_B(f: PosetMap):
-    """For every p and q <= f(p): the fiber over q under p has a greatest element.
-
-    Returns True, or a falsy Witness(p, q).
-    """
+def check_quillen_B(f: PosetMap) -> bool:
+    """For every p and q <= f(p): does the fiber over q under p have a
+    greatest element?"""
     fib = _fiber_masks(f)
     src, tgt = f.source, f.target
     for p in range(len(src)):
@@ -188,37 +174,23 @@ def check_quillen_B(f: PosetMap):
         for q in list(bits(tgt.below[fp])) + [fp]:
             part = fib.get(q, 0) & under
             if part == 0 or _greatest(src, part) is None:
-                return Witness(p, q)
+                return False
     return True
 
 
-def check_quillen_A_proxy(f: PosetMap) -> list[dict]:
-    """Per-fiber report: unique maximum (certifies contractibility) or Betti."""
+def check_quillen_A_proxy(f: PosetMap) -> bool:
+    """Is every fiber nonempty with a greatest element (so contractible)?"""
     fib = _fiber_masks(f)
-    out = []
-    for q in range(len(f.target)):
-        mask = fib.get(q, 0)
-        entry: dict = {"q": q, "fiber_size": mask.bit_count()}
-        if mask and _greatest(f.source, mask) is not None:
-            entry["unique_max"] = True
-        else:
-            entry["unique_max"] = False
-            entry["betti"] = () if not mask else \
-                betti_gf2(order_complex(f.source, mask)).betti
-        out.append(entry)
-    return out
+    return all(fib.get(q, 0) and _greatest(f.source, fib[q]) is not None
+               for q in range(len(f.target)))
 
 
-def proxy_all_pass(report: list[dict]) -> bool:
-    return all(e["unique_max"] for e in report)
-
-
-def neighborhood_poset_map(g: Graph, budget: int | None = None):
+def neighborhood_poset_map(g: Graph):
     """The cell map (A,B) -> A from Hom(K_2,g) to the neighborhood complex.
 
     Returns (PosetMap, hom complex, neighborhood complex).
     """
-    x = build_hom(complete(2), g, budget)
+    x = build_hom(complete(2), g)
     nc = neighborhood_complex(g)
     src = face_poset(x)
     tgt = face_poset(nc)

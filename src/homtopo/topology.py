@@ -71,10 +71,6 @@ class BettiProfile:
     euler: int
     f_vector: tuple[int, ...]
 
-    def to_json_obj(self) -> dict:
-        return {"betti": list(self.betti), "euler": self.euler,
-                "f_vector": list(self.f_vector)}
-
 
 class SimplicialComplex:
     """Simplicial complex of vertex tuples, closed under nonempty faces.
@@ -186,11 +182,8 @@ class Poset:
                 out[i] |= 1 << j
         return out
 
-    def less(self, i: int, j: int) -> bool:
-        return bool(self.below[j] >> i & 1)
-
     def leq(self, i: int, j: int) -> bool:
-        return i == j or self.less(i, j)
+        return i == j or bool(self.below[j] >> i & 1)
 
     def op(self) -> "Poset":
         top = max(self.grades, default=0)
@@ -200,20 +193,14 @@ class Poset:
                 covers[j].append(i)
         return Poset([top - g for g in self.grades], covers)
 
-    def chains(self, mask: int | None = None) -> list[tuple[int, ...]]:
-        """All nonempty chains inside `mask` (default: every element), each
-        as a tuple of its elements from least to greatest, in lexicographic
-        order.  They are built a length at a time: each chain of one level
-        grows by every element of the mask above its greatest element."""
-        n = len(self.grades)
-        if mask is None:
-            mask = (1 << n) - 1
-        elif mask >> n:
-            raise DomainError(f"mask {mask:#x} names an element outside "
-                              f"the {n}-element poset")
-        # ups[j]: the 1-tuples of the elements of the mask above j
-        ups = [[(i,) for i in bits(m & mask)] for m in self.above]
-        level = [(i,) for i in bits(mask)]
+    def chains(self) -> list[tuple[int, ...]]:
+        """All nonempty chains, each as a tuple of its elements from least
+        to greatest, in lexicographic order.  They are built a length at a
+        time: each chain of one level grows by every element above its
+        greatest element."""
+        # ups[j]: the 1-tuples of the elements above j
+        ups = [[(i,) for i in bits(m)] for m in self.above]
+        level = [(i,) for i in range(len(self.grades))]
         out = []
         while level:
             out += level
@@ -228,9 +215,9 @@ def face_poset(c) -> Poset:
     return Poset(dims, facets)
 
 
-def order_complex(p: Poset, mask: int | None = None) -> SimplicialComplex:
-    """The order complex of the chains inside `mask` (default: all of p)."""
-    return SimplicialComplex(p.chains(mask))
+def order_complex(p: Poset) -> SimplicialComplex:
+    """The order complex of p: one simplex per chain."""
+    return SimplicialComplex(p.chains())
 
 
 def f_vector(c) -> tuple[int, ...]:

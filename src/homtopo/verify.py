@@ -27,19 +27,23 @@ from .graphs import (Graph, are_isomorphic, chromatic_number, complement,
 from .homcx import build_hom, count_hom_components
 from .morse import (check_quillen_A_proxy, check_quillen_B,
                     critical_drops_to_smaller, is_acyclic, kmn_matching,
-                    neighborhood_poset_map, proxy_all_pass)
+                    neighborhood_poset_map)
 from .topology import (betti_gf2, connected_components, f_vector, face_poset,
                        find_poset_isomorphism, merge_classes)
 
-_SHARED = {"seed": 0, "fold_pairs": 30, "core_graphs": 50, "core_trials": 20}
+# both suites: the corpus seed, the fold pairs drawn, and the random graphs
+# and tie-break policies of the core-uniqueness check
+SEED = 0
+FOLD_PAIRS = 30
+CORE_GRAPHS = 50
+CORE_TRIALS = 20
 
-# hom_work_budget is the most homomorphisms the connectivity check lists for
-# one pair; a pair with more is skipped
+# cell_cap bounds each complex the fold check builds; hom_work_budget is the
+# most homomorphisms the connectivity check lists for one pair; a pair with
+# more is skipped
 SUITES = {
-    "fast": {**_SHARED, "full": False, "fold_cell_cap": 6_000,
-             "betti_cell_cap": 6_000, "hom_work_budget": 3_000_000},
-    "full": {**_SHARED, "full": True, "fold_cell_cap": 20_000,
-             "betti_cell_cap": 20_000, "hom_work_budget": 30_000_000},
+    "fast": {"full": False, "cell_cap": 6_000, "hom_work_budget": 3_000_000},
+    "full": {"full": True, "cell_cap": 20_000, "hom_work_budget": 30_000_000},
 }
 
 
@@ -179,7 +183,7 @@ def _big_component_count(fo: Graph) -> int:
 
 def check_fold_soundness(cfg: dict):
     failures: list[str] = []
-    pairs = fold_pairs(cfg["fold_pairs"], cfg["seed"], cfg["fold_cell_cap"])
+    pairs = fold_pairs(FOLD_PAIRS, SEED, cfg["cell_cap"])
     for g, h in pairs:
         r = smallest_policy(dominated_pairs(g))
         before = betti_gf2(build_hom(g, h)).betti
@@ -193,7 +197,7 @@ def check_fold_soundness(cfg: dict):
             if not are_isomorphic(irreducible_core(t)[0], k2):
                 failures.append(f"tree core {t.adj}")
             for n in (3, 4, 5):
-                got = _betti_within(t, complete(n), cfg["betti_cell_cap"])
+                got = _betti_within(t, complete(n), cfg["cell_cap"])
                 if got is not None:
                     checked += 1
                     if got != _sphere(n - 2):
@@ -206,17 +210,17 @@ def check_fold_soundness(cfg: dict):
                 failures.append(f"forest core {fo.adj}")
             big = _big_component_count(fo)
             for n in (3, 4, 5):
-                got = _betti_within(fo, complete(n), cfg["betti_cell_cap"])
+                got = _betti_within(fo, complete(n), cfg["cell_cap"])
                 if got is not None:
                     checked += 1
                     if got != _product_of_spheres(big, n - 2):
                         failures.append(f"forest betti {fo.adj} n={n}")
-                got = _betti_within(cg, complete(n), cfg["betti_cell_cap"])
+                got = _betti_within(cg, complete(n), cfg["cell_cap"])
                 if got is not None:
                     checked += 1
                     if got != (_wedge_profile(m, n) if m <= n else []):
                         failures.append(f"forest complement {fo.adj} n={n}")
-    expected = {"pairs": cfg["fold_pairs"], "failures": [],
+    expected = {"pairs": FOLD_PAIRS, "failures": [],
                 "enough-direct-betti": True}
     computed = {"pairs": len(pairs), "failures": failures[:10],
                 "enough-direct-betti": checked >= 30}
@@ -224,11 +228,10 @@ def check_fold_soundness(cfg: dict):
 
 
 def check_core_uniqueness(cfg: dict):
-    graphs = random_graphs(cfg["core_graphs"], cfg["seed"] + 1,
-                           n_lo=4, n_hi=10, require_edge=False)
-    bad = sum(1 for g in graphs
-              if not core_uniqueness_check(g, cfg["core_trials"]))
-    expected = {"graphs": cfg["core_graphs"], "non-unique": 0}
+    graphs = random_graphs(CORE_GRAPHS, SEED + 1, n_lo=4, n_hi=10,
+                           require_edge=False)
+    bad = sum(1 for g in graphs if not core_uniqueness_check(g, CORE_TRIALS))
+    expected = {"graphs": CORE_GRAPHS, "non-unique": 0}
     return expected, {"graphs": len(graphs), "non-unique": bad}
 
 
@@ -253,9 +256,9 @@ def check_quillen(cfg: dict):
     failures = []
     for name, g in loopless_corpus(7).items():
         pmap, x, nc = neighborhood_poset_map(g)
-        if check_quillen_B(pmap) is not True:
+        if not check_quillen_B(pmap):
             failures.append(f"B {name}")
-        if not proxy_all_pass(check_quillen_A_proxy(pmap)):
+        if not check_quillen_A_proxy(pmap):
             failures.append(f"A-proxy {name}")
         if _trim(betti_gf2(x).betti) != _trim(betti_gf2(nc).betti):
             failures.append(f"betti {name}")

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from homtopo import _kernels, equivariant, topology
 from homtopo.corpus import loopless_corpus
-from homtopo.equivariant import (_swap_map, coloring_bound, equivariant_report,
-                                 has_invariant_component, induced_involution,
-                                 orbit_complex, quotient, sw_height)
+from homtopo.equivariant import (OrbitComplex, _swap_map, coloring_bound,
+                                 equivariant_report, has_invariant_component,
+                                 induced_involution, quotient, sw_height)
 from homtopo.errors import DomainError, ResourceError
 from homtopo.graphs import (chromatic_number, complete, cycle, disjoint_union,
                             from_edges, kneser, petersen,
@@ -157,7 +157,7 @@ def assert_matches_oracle(g, m):
         assert sw_height(x, a, rep_seed=seed) == want
     assert coloring_bound(g, m) == want + m
     q = assert_quotient_matches_oracle(x, a)
-    assert betti_gf2(orbit_complex(x, a)).betti == betti_gf2(q).betti
+    assert betti_gf2(OrbitComplex(x, a)).betti == betti_gf2(q).betti
 
 
 def test_induced_involution():
@@ -216,7 +216,7 @@ def test_fixed_cell_detected():
     with pytest.raises(DomainError):
         quotient(x, a)
     with pytest.raises(DomainError):
-        orbit_complex(x, a)
+        OrbitComplex(x, a)
     with pytest.raises(DomainError):
         sw_height(x, a)
     assert has_invariant_component(x, a)  # the component of a fixed cell
@@ -274,7 +274,7 @@ def test_quotient_walks_chains_once_from_lower_cells(monkeypatch, n, simplices):
 
 def test_orbit_counts():
     x, a = flip_complex(complete(4))
-    q = orbit_complex(x, a)
+    q = OrbitComplex(x, a)
     assert 2 * len(q) == len(x)
     assert 2 * betti_gf2(q).euler == betti_gf2(x).euler
     assert 2 * f_vector(q)[2] == f_vector(x)[2]
@@ -303,7 +303,7 @@ def test_projective_quotients(n, height):
 
 def test_coboundary_squares_to_zero():
     x, a = flip_complex(complete(4))
-    q = orbit_complex(x, a)
+    q = OrbitComplex(x, a)
     assert_coboundary_squares_to_zero(q, q.dim)
 
 
@@ -318,7 +318,7 @@ def test_w_power_vanishing_chain():
     # and every w^k is a cocycle
     for h in (complete(4), cycle(4), cycle(6)):
         x, a = flip_complex(h)
-        q = orbit_complex(x, a)
+        q = OrbitComplex(x, a)
         k = sw_height(x, a)
         chain = vanishing_chain(q, q.dim)
         assert chain == [False] * k + [True] * (len(chain) - k)
@@ -352,7 +352,7 @@ def test_point_quotient():
     x, a = flip_complex(complete(2))
     q = quotient(x, a)
     assert len(q) == 1 and betti_gf2(q).betti == (1,)
-    q = orbit_complex(x, a)
+    q = OrbitComplex(x, a)
     assert len(q) == 1 and betti_gf2(q).betti == (1,)
     assert sw_height(x, a) == 0
 
@@ -483,7 +483,7 @@ def test_orbit_matches_subdivided_property(g, m):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_projective_orbit_quotients(n):
     x, a = flip_complex(complete(n))
-    assert betti_gf2(orbit_complex(x, a)).betti == (1,) * (n - 1)
+    assert betti_gf2(OrbitComplex(x, a)).betti == (1,) * (n - 1)
     assert sw_height(x, a) == n - 2
 
 
@@ -501,7 +501,7 @@ def test_bounds_past_the_subdivision(g, bound):
 
 def test_height_checks_the_cap_before_any_span_test(monkeypatch):
     x, a = flip_complex(complete(5))
-    f = f_vector(orbit_complex(x, a))
+    f = f_vector(OrbitComplex(x, a))
     largest = max(f[k - 1] * f[k] for k in range(1, len(f)))
     spans = []
     monkeypatch.setattr(equivariant, "gf2_in_span",

@@ -1,5 +1,6 @@
 """Every name the package exports, and every module-level function and
-class, is used by the program, not only by tests; no check is an `assert`;
+class, is used by the program, not only by tests; every defaulted
+parameter is set by some call in the program; no check is an `assert`;
 no module reads the environment or another object's private attributes.
 
 A name that no other module of the package and no benchmark script uses is
@@ -59,6 +60,81 @@ def test_every_definition_is_read():
     bench = list((ROOT / "perfbench").glob("*.py"))
     used = set().union(*map(uses, files + bench))
     assert sorted(defined - used) == []
+
+
+def defaulted_parameters(path: Path):
+    """(label, callee name, parameter, positional index or None) for every
+    parameter with a default of a function, method or constructor in one
+    file.  A class name stands for its constructor: its __init__, or a
+    dataclass's fields in order.  The positional index does not count self;
+    it is None for a keyword-only parameter."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def of_function(node, owner):
+        params = node.args.posonlyargs + node.args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if owner and not static else 0
+        name = owner if node.name == "__init__" else node.name
+        label = ".".join(filter(None, (path.stem, owner, node.name)))
+        first = len(params) - len(node.args.defaults)
+        for i, a in enumerate(params[first:], first):
+            yield f"{label}({a.arg})", name, a.arg, i - skip
+        for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if d is not None:
+                yield f"{label}({a.arg})", name, a.arg, None
+
+    def of_class(node):
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                  and isinstance(s.target, ast.Name)]
+        dataclass = any("dataclass" in ast.dump(d)
+                        for d in node.decorator_list)
+        for i, f in enumerate(fields if dataclass else ()):
+            if f.value is not None:
+                yield (f"{path.stem}.{node.name}({f.target.id})", node.name,
+                       f.target.id, i)
+        for s in node.body:
+            if isinstance(s, ast.FunctionDef):
+                yield from of_function(s, node.name)
+
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    methods = {id(s) for c in classes for s in c.body}
+    for node in classes:
+        yield from of_class(node)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and id(node) not in methods:
+            yield from of_function(node, None)
+
+
+def calls(path: Path):
+    """(callee name, positional arguments, keyword names) for every call in
+    one file; positional arguments stop at the first *args."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+        starred = [isinstance(a, ast.Starred) for a in node.args] + [True]
+        yield name, starred.index(True), {k.arg for k in node.keywords}
+
+
+# tests drive the command line through main(argv)
+UNSET_ALLOWED = {"cli.main(argv)"}
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    # a default that no call overrides is an option no workload uses
+    files = sorted(PACKAGE.rglob("*.py"))
+    found = [c for p in files + sorted((ROOT / "perfbench").glob("*.py"))
+             for c in calls(p)]
+    unset = [label for p in files
+             for label, name, param, pos in defaulted_parameters(p)
+             if not any(callee == name and (param in keys or pos is not None
+                                            and pos < npos)
+                        for callee, npos, keys in found)]
+    unset = sorted(set(unset) - UNSET_ALLOWED)
+    assert not unset, "no program call sets " + ", ".join(unset)
 
 
 def package_nodes():

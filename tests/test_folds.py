@@ -36,13 +36,6 @@ def test_dominated_pairs_oracle():
     for g in small_graphs(4):
         got = {(r.u, r.v) for r in dominated_pairs(g)}
         assert got == brute_dominations(g)
-    # kind flags
-    c4 = cycle(4)
-    kinds = {(r.u, r.v): r.kind for r in dominated_pairs(c4)}
-    assert kinds[(0, 2)] == "equivalent"
-    hanged = from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    kinds = {(r.u, r.v): r.kind for r in dominated_pairs(hanged)}
-    assert kinds[(1, 3)] == "strong" and kinds[(2, 3)] == "strong"
 
 
 def test_fold():

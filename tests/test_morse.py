@@ -7,11 +7,9 @@ from homtopo import morse
 from homtopo.errors import BudgetError, DomainError
 from homtopo.graphs import complete, cycle, petersen
 from homtopo.homcx import build_hom
-from homtopo.morse import (PartialMatching, PosetMap, Witness,
-                           check_quillen_A_proxy, check_quillen_B,
-                           critical_drops_to_smaller, is_acyclic,
-                           kmn_matching, neighborhood_poset_map,
-                           proxy_all_pass)
+from homtopo.morse import (PartialMatching, PosetMap, check_quillen_A_proxy,
+                           check_quillen_B, critical_drops_to_smaller,
+                           is_acyclic, kmn_matching, neighborhood_poset_map)
 from homtopo.topology import Poset, betti_gf2, face_poset
 
 
@@ -80,10 +78,15 @@ def test_kmn_budget_checked_before_enumerating(monkeypatch):
         kmn_matching(9, 12)
     assert err.value.found == 14_270_256_000
     with pytest.raises(BudgetError) as err:
-        kmn_matching(3, 5, budget=389)
+        kmn_matching(2, 15)  # 3^15 - 2^16 + 1 cells, past CELL_BUDGET
+    assert err.value.found == 14_283_372
+    monkeypatch.setattr(morse, "CELL_BUDGET", 389)
+    with pytest.raises(BudgetError) as err:
+        kmn_matching(3, 5)
     assert err.value.found == 390
     monkeypatch.undo()
-    pm, _ = kmn_matching(3, 5, budget=390)  # exactly the cell count
+    monkeypatch.setattr(morse, "CELL_BUDGET", 390)  # exactly the cell count
+    pm, _ = kmn_matching(3, 5)
     assert is_acyclic(pm)
 
 
@@ -115,26 +118,27 @@ def test_quillen_b_identity():
 def test_quillen_b_witness():
     chain = Poset([0, 1], [[], [0]])
     top_only = PosetMap(Poset([0], [[]]), chain, (1,))
-    w = check_quillen_B(top_only)
-    assert isinstance(w, Witness) and not w
-    assert (w.p, w.q) == (0, 0)  # the fiber over the bottom is empty
+    # the fiber over the bottom, under the one element, is empty
+    assert check_quillen_B(top_only) is False
+    bottom_only = PosetMap(Poset([0], [[]]), chain, (0,))
+    assert check_quillen_B(bottom_only) is True
 
 
 def test_quillen_a_proxy():
     chain = Poset([0, 1], [[], [0]])
     anti = Poset([0, 0], [[], []])
     point = Poset([0], [[]])
-    good = PosetMap(chain, point, (0, 0))
-    assert proxy_all_pass(check_quillen_A_proxy(good))
-    bad = PosetMap(anti, point, (0, 0))
-    rep = check_quillen_A_proxy(bad)
-    assert not proxy_all_pass(rep)
-    assert rep[0]["betti"] == (2,)  # two incomparable elements
+    assert check_quillen_A_proxy(PosetMap(chain, point, (0, 0))) is True
+    # two incomparable elements: no greatest one
+    assert check_quillen_A_proxy(PosetMap(anti, point, (0, 0))) is False
+    # the top of the chain is missed: its fiber is empty
+    assert check_quillen_A_proxy(PosetMap(point, chain, (0,))) is False
+    assert check_quillen_A_proxy(PosetMap(chain, chain, (0, 1))) is True
 
 
 @pytest.mark.parametrize("g", [cycle(5), complete(4), petersen()])
 def test_neighborhood_map_fibers(g):
     f, x, nc = neighborhood_poset_map(g)
     assert check_quillen_B(f) is True
-    assert proxy_all_pass(check_quillen_A_proxy(f))
+    assert check_quillen_A_proxy(f) is True
     assert betti_gf2(x).betti[0] == betti_gf2(nc).betti[0]
