@@ -135,7 +135,7 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def random_graphs(count: int, seed: int, n_lo: int = 4, n_hi: int = 10,
+def random_graphs(count: int, seed: int, n_lo: int, n_hi: int,
                   require_edge: bool = True) -> list[Graph]:
     """`count` seeded random graphs with n in [n_lo, n_hi]."""
     rng = random.Random(seed)
@@ -149,8 +149,8 @@ def random_graphs(count: int, seed: int, n_lo: int = 4, n_hi: int = 10,
     return out
 
 
-def fold_pairs(count: int = 30, seed: int = 0,
-               cell_cap: int = 20_000) -> list[tuple[Graph, Graph]]:
+def fold_pairs(count: int, seed: int,
+               cell_cap: int) -> list[tuple[Graph, Graph]]:
     """Seeded (G,H) pairs where G has a dominated vertex and Hom(G,H)
     fits in `cell_cap` cells."""
     from .folds import dominated_pairs

@@ -37,8 +37,9 @@ from ._kernels import gf2_in_span
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import (SimplicialComplex, betti_gf2, connected_components,
-                       dim_ranges, f_vector, face_poset, order_complex)
+from .topology import (ChainData, SimplicialComplex, betti_gf2,
+                       connected_components, f_vector, face_poset,
+                       order_complex)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class OrbitComplex:
 
     x must list its cells in dimension order, as the chain-data protocol
     of topology requires; orbits are numbered by their lower cell index,
-    so topology's dim_ranges finds _start[d], the first orbit of dimension d.
+    so they come in dimension order too, and the ranges of the orbit
+    complex's ChainData give the orbits of each dimension.
     reps[t] is the cell chosen to stand for orbit t: the lower cell index of
     each orbit, or, given `rep_seed`, either cell at random from that seed.
     """
@@ -125,19 +127,18 @@ class OrbitComplex:
             facets.append(sorted(fs))
         self.complex = x
         self.reps = reps
-        self._chain = (dims, facets)
-        self._start = dim_ranges(dims)
+        self._chain = ChainData(dims, facets)
         # w_1^0: the all-ones 0-cochain, one bit per 0-orbit
-        self._w = [(1 << (self._start[1] if dims else 0)) - 1]
+        self._w = [(1 << (self._chain.ranges[1] if dims else 0)) - 1]
 
     def __len__(self):
         return len(self.reps)
 
     @property
     def dim(self) -> int:
-        return len(self._start) - 2
+        return len(self._chain.ranges) - 2
 
-    def chain_data(self):
+    def chain_data(self) -> ChainData:
         return self._chain
 
     def coboundary_columns(self, k: int) -> list[int]:
@@ -145,7 +146,7 @@ class OrbitComplex:
         k-orbits in order."""
         if not 1 <= k <= self.dim:
             return []
-        lo, mid, hi = self._start[k - 1:k + 2]
+        lo, mid, hi = self._chain.ranges[k - 1:k + 2]
         facets = self._chain[1]
         cols = [0] * (mid - lo)
         for t in range(mid, hi):
@@ -159,7 +160,7 @@ class OrbitComplex:
         if not 0 <= k <= self.dim:
             return 0
         xfacets = self.complex.chain_data()[1]
-        reps, start = self.reps, self._start
+        reps, start = self.reps, self._chain.ranges
         while len(self._w) <= k:
             d = len(self._w)
             vec = self._w[-1]

@@ -14,7 +14,7 @@ from math import prod
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, ConsistencyError, DomainError
 from .graphs import Graph, bits, enumerate_homomorphisms, induced_subgraph
-from .topology import SimplicialComplex, merge_classes
+from .topology import ChainData, SimplicialComplex, merge_classes
 
 CELL_BUDGET = 5_000_000
 # build_hom counts Hom(G,K_n) first only for sources up to this size: the
@@ -95,7 +95,7 @@ class HomComplex:
         # the keys are sorted by popcount, so the last one has the top dimension
         return self.keys[-1].bit_count() - self.n_g if self.keys else -1
 
-    def chain_data(self):
+    def chain_data(self) -> ChainData:
         """(dims, facets): per cell its dimension and ascending facet indices.
 
         A facet drops one bit from a field that keeps at least one, so only
@@ -140,7 +140,7 @@ class HomComplex:
                         f"cell {self.cell_label(i)} lacks the face "
                         f"{self.cell_of(k ^ bit)}: not face-closed") from None
                 facets.append(fs)
-            self._chain = (dims, facets)
+            self._chain = ChainData(dims, facets)
         return self._chain
 
     def factors(self) -> tuple["HomComplex", ...]:
@@ -220,7 +220,7 @@ def _components(adj) -> list[int]:
     return comps
 
 
-def cell_budget(budget: int | None = None) -> int:
+def cell_budget(budget: int | None) -> int:
     """The cell cap in force: `budget`, or CELL_BUDGET when it is None."""
     if budget is None:
         return CELL_BUDGET

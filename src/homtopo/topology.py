@@ -1,13 +1,14 @@
 """Simplicial complexes, posets, GF(2) homology, components.
 
-Every complex object in the package exposes `chain_data() -> (dims, facets)`
-where `dims[i]` is the cell dimension and `facets[i]` lists the indices of
-the codimension-1 faces of cell i (each exactly once: regular CW / ordered
-Delta-complex boundary over GF(2)), cells by nondecreasing dimension from
-0.  The functions here consume only that, and one reader knows the layout:
-dim_ranges checks the order and gives each dimension's index range
-(f_vector is their lengths); _spanning_forest checks the 0- and 1-cells
-and grows one spanning forest, whose seeds count the components.
+Every complex object in the package exposes `chain_data()`, a ChainData:
+the tuple (dims, facets) where `dims[i]` is the cell dimension and
+`facets[i]` lists the indices of the codimension-1 faces of cell i (each
+exactly once: regular CW / ordered Delta-complex boundary over GF(2)),
+cells by nondecreasing dimension from 0.  The functions here consume only
+that, and ChainData is the one reader of the layout, each read made once:
+`ranges` checks the order and gives each dimension's index range (f_vector
+is their lengths); `forest` checks the 0- and 1-cells and grows one
+spanning forest, whose seeds count the components.
 
 `SimplicialComplex` is the one simplicial complex class: simplices are
 vertex tuples, and a simplex's facets are the tuples one vertex shorter.
@@ -65,6 +66,23 @@ MATRIX_BIT_CAP = 1 << 30
 SPLIT_MIN_CELLS = 128
 
 
+class ChainData(tuple):
+    """(dims, facets) of a complex and the two reads its consumers share,
+    each made once: `ranges`, dim_ranges(dims) (the order check), and
+    `forest`, _spanning_forest's (mate, seeds), which no reader changes."""
+
+    def __new__(cls, dims, facets):
+        return super().__new__(cls, (dims, facets))
+
+    @cached_property
+    def ranges(self) -> list[int]:
+        return dim_ranges(self[0])
+
+    @cached_property
+    def forest(self) -> tuple[list[int], int]:
+        return _spanning_forest(self)
+
+
 @dataclass(frozen=True)
 class BettiProfile:
     betti: tuple[int, ...]
@@ -102,7 +120,7 @@ class SimplicialComplex:
         """Simplex -> its position in `simplices`."""
         return self._index
 
-    def chain_data(self):
+    def chain_data(self) -> ChainData:
         """(dims, facets); a face missing from the list raises
         ConsistencyError.
 
@@ -135,7 +153,7 @@ class SimplicialComplex:
                             f"simplex {t} lacks the face {face}: "
                             "not face-closed") from None
                 facets += map(sorted, zip(*cols))
-            self._chain = (dims, facets)
+            self._chain = ChainData(dims, facets)
         return self._chain
 
 
@@ -222,7 +240,7 @@ def order_complex(p: Poset) -> SimplicialComplex:
 
 def f_vector(c) -> tuple[int, ...]:
     """Cells per dimension: the lengths of the dimension ranges."""
-    return tuple(b - a for a, b in pairwise(dim_ranges(c.chain_data()[0])))
+    return tuple(b - a for a, b in pairwise(c.chain_data().ranges))
 
 
 def merge_classes(n: int, pairs) -> list[int]:
@@ -243,7 +261,7 @@ def merge_classes(n: int, pairs) -> list[int]:
 
 def connected_components(c) -> int:
     """Components of the 1-skeleton (b_0): the spanning forest's seeds."""
-    return _spanning_forest(*c.chain_data())[2]
+    return c.chain_data().forest[1]
 
 
 def dim_ranges(dims) -> list[int]:
@@ -255,18 +273,19 @@ def dim_ranges(dims) -> list[int]:
     return [bisect_left(dims, d) for d in range(dims[-1] + 2 if dims else 1)]
 
 
-def _spanning_forest(dims, facets):
-    """(dim_ranges(dims), mate, seeds), or ConsistencyError unless every
-    0-cell has no facets and every 1-cell joins two distinct 0-cells.
+def _spanning_forest(data: ChainData):
+    """(mate, seeds), or ConsistencyError unless the cells come in order
+    (data.ranges) and every 0-cell has no facets and every 1-cell joins two
+    distinct 0-cells.
 
     A 0-cell nothing has reached yet seeds a new component, and a tree over
     the 1-cells grows from it breadth first, pairing each 0-cell it reaches
     with the 1-cell that reached it: mate[i] is i for a seed, the cell
     paired with i, or -1.  seeds counts the components of the 1-skeleton.
     """
-    lo = dim_ranges(dims)
+    dims, facets = data
     # lo[1] and lo[2]; every range past the top dimension ends at len(dims)
-    n0, n01 = (*lo, len(dims), len(dims))[1:3]
+    n0, n01 = (*data.ranges, len(dims), len(dims))[1:3]
     mate = [-1] * len(dims)
     for v in range(n0):
         if facets[v]:
@@ -297,20 +316,20 @@ def _spanning_forest(dims, facets):
                         mate[w] = e
                         mate[e] = w
                         reached.append(w)
-    return lo, mate, seeds
+    return mate, seeds
 
 
-def _check_and_coreduce(dims, facets):
+def _check_and_coreduce(data: ChainData):
     """Check the cells and remove Mrozek-Batko coreduction pairs in one
     sweep up the dimensions: (f, mate, seeds), or ConsistencyError.
 
-    _spanning_forest checks the order and the 0- and 1-cells and pairs the
-    forest's.  From dimension 2 up, one read of each d-cell checks that its
-    facets lie in the range of dimension d - 1 and that its boundary is
-    nonempty and squares to zero over GF(2): every index occurs an even
-    number of times among the sorted facets of its facets, iff s[::2] ==
-    s[1::2] (by induction up the dimensions, s is empty only when the facet
-    list is).  The same read counts the cell's facets left: a cell with
+    data.forest checks the order and the 0- and 1-cells and pairs the
+    forest's, on a copy of its mate.  From dimension 2 up, one read of each
+    d-cell checks that its facets lie in the range of dimension d - 1 and
+    that its boundary is nonempty and squares to zero over GF(2): every
+    index occurs an even number of times among the sorted facets of its
+    facets, iff s[::2] == s[1::2] (by induction up the dimensions, s is
+    empty only when the facet list is).  The same read counts the cell's facets left: a cell with
     exactly one is removed with that facet; later passes revisit, in cell
     order, only the cells left with two or more, until one removes nothing
     (at most 8 passes per dimension on the benchmark workloads, seeds 1, 7
@@ -324,7 +343,9 @@ def _check_and_coreduce(dims, facets):
     generator per seed: two distinct endpoints per 1-cell leave each
     component empty of 0-cells before the next seed.
     """
-    lo, mate, seeds = _spanning_forest(dims, facets)
+    facets, lo = data[1], data.ranges
+    mate, seeds = data.forest
+    mate = mate[:]  # the forest belongs to the layout
     for d in range(2, len(lo) - 1):
         below, start = lo[d - 1], lo[d]
         paired = False
@@ -408,10 +429,10 @@ def betti_gf2(c) -> BettiProfile:
         f = reduce(_convolve, (p.f_vector for p in profiles))
         euler = sum((-1) ** k * fk for k, fk in enumerate(f))
         return BettiProfile(betti, euler, f)
-    dims, facets = c.chain_data()
+    dims, facets = data = c.chain_data()
     if not dims:
         return BettiProfile((), 0, ())
-    f, mate, seeds = _check_and_coreduce(dims, facets)
+    f, mate, seeds = _check_and_coreduce(data)
     top = len(f) - 1
     # the residue by dimension, each range taking the next f[d] indices; a
     # cell's row is its place in its dimension

@@ -149,10 +149,10 @@ def _cayley_matches(n: int) -> bool:
         verts.append(cell + (missing,))
     if sorted(verts) != sorted(permutations(range(n))):
         return False
-    dims, facets = x.chain_data()
+    data = x.chain_data()
     cells = x.cells()
-    edges = {frozenset(cells[j] for j in facets[i])
-             for i, d in enumerate(dims) if d == 1}
+    edges = {frozenset(cells[j] for j in data[1][i])
+             for i in range(*data.ranges[1:3])}
     cayley = set()
     for pi in permutations(range(n)):
         masks = tuple(1 << v for v in pi)

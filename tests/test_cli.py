@@ -11,6 +11,7 @@ import time
 import pytest
 
 import homtopo
+from homtopo import topology
 from homtopo.cli import main, resolve_graph
 from homtopo.errors import DomainError
 from homtopo.graphs import complete, petersen
@@ -119,6 +120,28 @@ def test_equivariant_bound(capsys):
     code, obj = run_json(capsys, "equivariant", "bound", "--graph", "K7")
     assert code == 0 and obj["bound"] == 7
     assert obj["quotient_betti"] == [1] * 6
+
+
+@pytest.mark.parametrize("argv", [
+    ("hom", "--source", "petersen", "--target", "K4", "--fvector", "--betti",
+     "--components"),
+    ("equivariant", "bound", "--graph", "petersen"),
+], ids=["hom-three-readers", "equivariant-bound"])
+def test_one_order_pass_and_one_forest_per_complex(capsys, monkeypatch, argv):
+    # every reader of a complex's layout shares its ChainData's ranges and
+    # forest: one order check and one spanning forest per command
+    calls = {"dim_ranges": 0, "_spanning_forest": 0}
+    for name in calls:
+        real = getattr(topology, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(topology, name, counted)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert calls == {"dim_ranges": 1, "_spanning_forest": 1}
 
 
 def test_verify_json_path_checked_before_the_run(capsys, tmp_path,

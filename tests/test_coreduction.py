@@ -54,8 +54,8 @@ def direct_betti(c):
 
 def residue_and_matching(c):
     """(residue cell dims, seeds, PartialMatching of the removed pairs)."""
-    dims, facets = c.chain_data()
-    _, mate, seeds = topology._check_and_coreduce(dims, facets)
+    dims, facets = data = c.chain_data()
+    _, mate, seeds = topology._check_and_coreduce(data)
     mu = {i: m for i, m in enumerate(mate) if m >= 0 and dims[m] > dims[i]}
     residue = [dims[i] for i, m in enumerate(mate) if m < 0]
     return residue, seeds, PartialMatching(face_poset(c), mu, carrier=c)
@@ -201,9 +201,10 @@ def test_one_sweep_matches_check_then_coreduce(data):
                 *reference_coreduce(dims, facets))
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            topology._check_and_coreduce(dims, facets)
+            topology._check_and_coreduce(topology.ChainData(dims, facets))
     else:
-        assert topology._check_and_coreduce(dims, facets) == want
+        assert topology._check_and_coreduce(
+            topology.ChainData(dims, facets)) == want
 
 
 # ------------------------------------------------------------ clearing
@@ -222,8 +223,8 @@ def residue(c):
     """The coreduction residue by dimension, in cell order, and column(i),
     the boundary of residue cell i restricted to the residue: each row is
     the place of a cell among the residue cells of its dimension."""
-    dims, facets = c.chain_data()
-    _, mate, _ = topology._check_and_coreduce(dims, facets)
+    dims, facets = data = c.chain_data()
+    _, mate, _ = topology._check_and_coreduce(data)
     cells = [[] for _ in range(max(dims) + 1)]
     row = {}
     for i, m in enumerate(mate):
@@ -380,7 +381,7 @@ class Strip:
                           for i in reversed(range(n))])
 
     def chain_data(self):
-        return self.dims, self.facets
+        return topology.ChainData(self.dims, self.facets)
 
 
 class CountedReads(list):
@@ -403,7 +404,7 @@ def test_strip_against_the_sweep_takes_a_pass_per_triangle():
     assert residue == [] and seeds == 1
     assert is_acyclic(m)
     facets = CountedReads(c.facets, c.dims)
-    topology._check_and_coreduce(c.dims, facets)
+    topology._check_and_coreduce(topology.ChainData(c.dims, facets))
     # pass k visits the n - k + 1 triangles still present
     assert facets.reads >= n * (n + 1) // 2
 
@@ -433,8 +434,8 @@ def test_one_cells_need_two_endpoints():
 def test_euler_check_catches_a_miscounted_seed(monkeypatch):
     real = topology._check_and_coreduce
 
-    def one_seed_too_many(dims, facets):
-        f, mate, seeds = real(dims, facets)
+    def one_seed_too_many(data):
+        f, mate, seeds = real(data)
         return f, mate, seeds + 1
 
     monkeypatch.setattr(topology, "_check_and_coreduce", one_seed_too_many)

@@ -157,11 +157,11 @@ def test_labeled_tree_count():
 
 
 def test_random_graphs_deterministic():
-    a = random_graphs(10, seed=4)
-    b = random_graphs(10, seed=4)
+    a = random_graphs(10, 4, 4, 10)
+    b = random_graphs(10, 4, 4, 10)
     assert a == b
-    assert any(x != y for x, y in zip(a, random_graphs(10, seed=5)))
-    assert all(g.num_edges() >= 1 for g in random_graphs(20, seed=0))
+    assert any(x != y for x, y in zip(a, random_graphs(10, 5, 4, 10)))
+    assert all(g.num_edges() >= 1 for g in random_graphs(20, 0, 4, 10))
 
 
 def test_fold_pairs():

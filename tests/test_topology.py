@@ -397,20 +397,21 @@ def test_poset_isomorphism_cap():
 class BrokenFacetDim:
     # a 2-cell lists a 0-cell among its facets
     def chain_data(self):
-        return [0, 0, 1, 2], [[], [], [0, 1], [0]]
+        return topology.ChainData([0, 0, 1, 2], [[], [], [0, 1], [0]])
 
 
 class BrokenSquare:
     # two 1-cells between the same endpoints, one 2-cell with a single facet:
     # its boundary-of-boundary is the two endpoints, nonzero over GF(2)
     def chain_data(self):
-        return [0, 0, 1, 1, 2], [[], [], [0, 1], [0, 1], [2]]
+        return topology.ChainData([0, 0, 1, 1, 2],
+                                  [[], [], [0, 1], [0, 1], [2]])
 
 
 class OpenEdge:
     # a 1-cell with a single endpoint: not a regular CW complex
     def chain_data(self):
-        return [0, 1], [[], [0]]
+        return topology.ChainData([0, 1], [[], [0]])
 
 
 class ThreeParallelEdges:
@@ -419,14 +420,15 @@ class ThreeParallelEdges:
     # occurrence has an equal neighbour once sorted, so a check that only
     # looks for a pair fails to see the odd count
     def chain_data(self):
-        return [0, 0, 1, 1, 1, 2], [[], [], [0, 1], [0, 1], [0, 1], [2, 3, 4]]
+        return topology.ChainData([0, 0, 1, 1, 1, 2],
+                                  [[], [], [0, 1], [0, 1], [0, 1], [2, 3, 4]])
 
 
 class EmptyBoundary:
     # a 2-cell with no facets beside a point: the sweep would read it as a
     # 2-sphere, (1, 0, 1)
     def chain_data(self):
-        return [0, 2], [[], []]
+        return topology.ChainData([0, 2], [[], []])
 
 
 BROKEN = [BrokenFacetDim, BrokenSquare, OpenEdge, ThreeParallelEdges,
@@ -469,7 +471,7 @@ def dense_check(dims, facets) -> bool:
 
 def per_cell_accepts(dims, facets) -> bool:
     try:
-        topology._check_and_coreduce(dims, facets)
+        topology._check_and_coreduce(topology.ChainData(dims, facets))
     except ConsistencyError:
         return False
     return True
@@ -519,8 +521,8 @@ def test_per_cell_check_matches_dense_columns_on_fixtures(c):
 
 def _residue_shape(x):
     """Per dimension, the number of cells coreduction leaves in x."""
-    dims, facets = x.chain_data()
-    f, mate, _ = topology._check_and_coreduce(dims, facets)
+    dims, facets = data = x.chain_data()
+    f, mate, _ = topology._check_and_coreduce(data)
     rf = [0] * len(f)
     for i, m in enumerate(mate):
         if m < 0:
@@ -564,14 +566,15 @@ def test_consistency_guards():
 class EdgeBeforeEnds:
     # a valid 1-cell listed before its two endpoints
     def chain_data(self):
-        return [1, 0, 0], [[1, 2], [], []]
+        return topology.ChainData([1, 0, 0], [[1, 2], [], []])
 
 
 class TriangleAmongEdges:
     # a filled triangle whose 2-cell is listed before its last edge
     def chain_data(self):
-        return ([0, 0, 0, 1, 1, 2, 1],
-                [[], [], [], [0, 1], [1, 2], [3, 4, 6], [0, 2]])
+        return topology.ChainData([0, 0, 0, 1, 1, 2, 1],
+                                  [[], [], [], [0, 1], [1, 2], [3, 4, 6],
+                                   [0, 2]])
 
 
 @pytest.mark.parametrize("c", [EdgeBeforeEnds(), TriangleAmongEdges()],
@@ -586,6 +589,15 @@ def test_cells_out_of_dimension_order_are_inconsistent(c):
     for read in (betti_gf2, f_vector, connected_components):
         with pytest.raises(ConsistencyError, match="nondecreasing dimension"):
             read(c)
+
+
+def test_betti_leaves_the_cached_forest_as_built():
+    # the forest belongs to the layout: coreduction pairs cells on a copy
+    # of its mate, so later readers see the forest as it was grown
+    x = build_hom(cycle(5), complete(4))
+    betti_gf2(x)
+    data = x.chain_data()
+    assert data.forest == topology._spanning_forest(topology.ChainData(*data))
 
 
 def test_components_need_two_endpoints_per_edge():
