@@ -260,15 +260,13 @@ def _pivots(cols) -> dict[int, int]:
     return pivots
 
 
-def gf2_rank(cols, pivot_rows: set[int] | None = None) -> int:
-    """Rank over GF(2) of the int-bitmask columns.
-
-    If `pivot_rows` is given, the row index of each reduced column's lowest
-    bit is added to it: one row per unit of rank.
+def gf2_rank(cols, pivot_rows: set[int]) -> int:
+    """Rank over GF(2) of the int-bitmask columns.  The row index of each
+    reduced column's lowest bit is added to `pivot_rows`: one row per unit
+    of rank.
     """
     pivots = _pivots(cols)
-    if pivot_rows is not None:
-        pivot_rows.update(low - 1 for low in pivots)
+    pivot_rows.update(low - 1 for low in pivots)
     return len(pivots)
 
 

@@ -104,7 +104,7 @@ def cmd_reduce_core(args) -> int:
 def cmd_morse_kmn(args) -> int:
     pm, _ = kmn_matching(args.m, args.n)
     obj = pm.to_json_obj(is_acyclic(pm))
-    obj.update({"m": args.m, "n": args.n, "cells": len(pm.poset)})
+    obj.update({"m": args.m, "n": args.n, "cells": len(pm.carrier)})
     _emit_kv(obj, args.pretty)
     return 0
 

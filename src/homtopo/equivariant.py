@@ -37,9 +37,8 @@ from ._kernels import gf2_in_span
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import (ChainData, SimplicialComplex, betti_gf2,
-                       connected_components, f_vector, face_poset,
-                       order_complex)
+from .topology import (ChainData, SimplicialComplex, betti_gf2, f_vector,
+                       face_poset, merge_classes, order_complex)
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,15 @@ def sw_height(x, a: Involution, rep_seed: int | None = None) -> int:
 def has_invariant_component(x, a: Involution) -> bool:
     """Is some connected component mapped to itself?  (Blocks maps to S^0.)
 
-    A fixed cell lies in one.  A free involution swaps the c - fixed
-    components it does not fix in pairs, so X/a has (c + fixed) / 2.
+    Read on X's own 1-skeleton: every component holds a 0-cell and `a`
+    permutes the 0-cells, so this holds iff some 0-cell v shares a component
+    with a(v).  A fixed cell's component does: `a` permutes its 0-cells.
     """
-    return (not a.free or 2 * connected_components(OrbitComplex(x, a))
-            > connected_components(x))
+    data = x.chain_data()
+    data.forest  # checks the 0- and 1-cells
+    n0, n01 = (*data.ranges, len(data[0]), len(data[0]))[1:3]
+    labels = merge_classes(n0, data[1][n0:n01])
+    return any(labels[v] == labels[a.perm[v]] for v in range(n0))
 
 
 def _swap_map(m: int) -> tuple[int, ...]:
@@ -232,12 +235,12 @@ def _swap_action(g: Graph, m: int, budget: int | None):
     return x, induced_involution(x, _swap_map(m))
 
 
-def coloring_bound(g: Graph, m: int = 2) -> int:
+def coloring_bound(g: Graph, m: int) -> int:
     """Chromatic lower bound sw_height(Hom(K_m,g), swap) + m."""
     return sw_height(*_swap_action(g, m, None)) + m
 
 
-def equivariant_report(g: Graph, m: int = 2, budget: int | None = None) -> dict:
+def equivariant_report(g: Graph, m: int, budget: int | None) -> dict:
     x, a = _swap_action(g, m, budget)
     q = OrbitComplex(x, a)
     k = _height(q)

@@ -15,10 +15,10 @@ class BudgetError(HomtopoError):
     `found` is the exact total (cells, maps, ...) where it was counted
     before any work, as build_hom does for a loopless complete target and
     kmn_matching for Hom(K_m,K_n); otherwise it is the count at which
-    enumeration stopped, when that is meaningful.
+    enumeration stopped.
     """
 
-    def __init__(self, message: str, found: int | None = None):
+    def __init__(self, message: str, found: int):
         super().__init__(message)
         self.found = found
 

@@ -1,4 +1,8 @@
-"""Partial matchings on face posets, acyclicity, and poset-map fiber checks."""
+"""Partial matchings on a complex's face data, acyclicity, and poset-map
+fiber checks.  Acyclicity is a property of the Hasse diagram alone (Forman,
+"Morse theory for cell complexes", Adv. Math. 134, 1998), so a matching
+reads its complex's chain_data() and nothing else: the facets are the covers.
+"""
 
 from __future__ import annotations
 
@@ -13,25 +17,26 @@ from .topology import Poset, face_poset
 
 @dataclass
 class PartialMatching:
-    """mu maps matched-down elements to the covering element they pair with."""
+    """mu maps matched-down cells of `carrier` to the coface each pairs with."""
 
-    poset: Poset
+    carrier: object
     mu: dict[int, int]
-    carrier: object = None  # optional complex the poset came from
 
     def validate(self):
+        facets = self.carrier.chain_data()[1]
         ups = set(self.mu.values())
         if len(ups) != len(self.mu):
             raise DomainError("matching is not injective")
         for x, y in self.mu.items():
             if x in ups or y in self.mu:
                 raise DomainError(f"matching not a partial pairing at ({x},{y})")
-            if x not in self.poset.covers[y]:
+            if not (0 <= y < len(facets) and x in facets[y]):
                 raise DomainError(f"matched pair ({x},{y}) is not a covering")
 
     def critical_indices(self) -> list[int]:
         touched = set(self.mu) | set(self.mu.values())
-        return [i for i in range(len(self.poset)) if i not in touched]
+        cells = len(self.carrier.chain_data()[0])
+        return [i for i in range(cells) if i not in touched]
 
     def to_json_obj(self, acyclic: bool) -> dict:
         return {"acyclic": acyclic, "critical": len(self.critical_indices()),
@@ -39,37 +44,28 @@ class PartialMatching:
 
 
 def is_acyclic(m: PartialMatching) -> bool:
-    """No directed cycle when matched covers point up and the rest down."""
+    """No directed cycle when matched covers point up and the rest down.
+
+    Kahn's count (CACM 5, 1962): the cells no arc enters start a list, and
+    each cell on it frees its successors of one arc; a successor left with
+    none joins the list.  It reaches every cell iff there is no cycle.
+    """
     m.validate()
-    p = m.poset
-    n = len(p)
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in p.covers[i]:
-            if m.mu.get(j) == i:
-                out[j].append(i)
-            else:
-                out[i].append(j)
-    color = [0] * n  # 0 fresh, 1 on stack, 2 done
-    for s in range(n):
-        if color[s]:
-            continue
-        stack = [(s, 0)]
-        color[s] = 1
-        while stack:
-            v, k = stack[-1]
-            if k < len(out[v]):
-                stack[-1] = (v, k + 1)
-                w = out[v][k]
-                if color[w] == 1:
-                    return False
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, 0))
-            else:
-                color[v] = 2
-                stack.pop()
-    return True
+    facets = m.carrier.chain_data()[1]
+    out = [[j for j in fs if m.mu.get(j) != i] for i, fs in enumerate(facets)]
+    for x, y in m.mu.items():
+        out[x].append(y)
+    into = [0] * len(out)
+    for js in out:
+        for j in js:
+            into[j] += 1
+    free = [i for i, k in enumerate(into) if not k]
+    for i in free:  # grows while it is read
+        for j in out[i]:
+            into[j] -= 1
+            if not into[j]:
+                free.append(j)
+    return len(free) == len(out)
 
 
 def kmn_matching(m: int, n: int):
@@ -78,7 +74,8 @@ def kmn_matching(m: int, n: int):
     A_1 keeps the cells whose entries away from vertex 0 avoid the last
     target vertex; eta with that vertex absent from eta(0) is matched with
     eta(0) extended by it.  Returns (matching, critical subcomplex); the
-    critical cells are exactly those with eta(0) = {last}.
+    critical cells are exactly those with eta(0) = {last}.  Vertex 0's
+    field is the highest of a key, so each test is one mask on the key.
 
     The cell count of Hom(K_m,K_n) is checked against CELL_BUDGET before
     anything is enumerated.
@@ -90,47 +87,24 @@ def kmn_matching(m: int, n: int):
         raise BudgetError(f"cell budget {CELL_BUDGET} exceeded: "
                           f"Hom(K_{m},K_{n}) has {cells} cells", found=cells)
     x = build_hom(complete(m), complete(n))
-    w = n
-    last = n - 1
-    shift0 = (m - 1) * w
-    full = (1 << w) - 1
-
-    def in_a1(key: int) -> bool:
-        for j in range(1, m):
-            if key >> ((m - 1 - j) * w + last) & 1:
-                return False
-        return True
-
-    a1_keys = [k for k in x.keys if in_a1(k)]
-    a1 = HomComplex(x.g, x.h, a1_keys)
+    # the last target's bit in vertex 0's field, and in all the others
+    last0 = 1 << (m * n - 1)
+    rest = sum(1 << (v * n + n - 1) for v in range(m - 1))
+    a1 = HomComplex(x.g, x.h, [k for k in x.keys if not k & rest])
     idx = a1.index()
-    mu: dict[int, int] = {}
-    crit: list[int] = []
-    for k in a1_keys:
-        head = k >> shift0 & full
-        if not head >> last & 1:
-            mu[idx[k]] = idx[k | (1 << (shift0 + last))]
-        elif head == 1 << last:
-            crit.append(k)
-    matching = PartialMatching(face_poset(a1), mu, carrier=a1)
-    critical = HomComplex(x.g, x.h, crit)
-    return matching, critical
+    mu = {idx[k]: idx[k | last0] for k in a1.keys if not k & last0}
+    crit = [k for k in a1.keys if k >> (m - 1) * n == 1 << (n - 1)]
+    return PartialMatching(a1, mu), HomComplex(x.g, x.h, crit)
 
 
 def critical_drops_to_smaller(critical: HomComplex, m: int, n: int) -> bool:
     """Does deleting vertex 0 carry the critical cells onto Hom(K_{m-1},K_{n-1})?"""
-    w = n
-    full = (1 << (n - 1)) - 1
-    dropped = set()
-    for k in critical.keys:
-        key2 = 0
-        for j in range(1, m):
-            mask = k >> ((m - 1 - j) * w) & ((1 << w) - 1)
-            if mask & ~full:
-                return False
-            key2 |= mask << ((m - 2 - (j - 1)) * (n - 1))
-        dropped.add(key2)
     small = build_hom(complete(m - 1), complete(n - 1))
+    try:
+        dropped = {small.key_of(critical.cell_of(k)[1:])
+                   for k in critical.keys}
+    except DomainError:  # a mask holds the last target, n - 1
+        return False
     return dropped == set(small.keys)
 
 

@@ -8,7 +8,6 @@ all values are plain JSON types so identical runs emit identical bytes.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 
@@ -24,12 +23,12 @@ from .formulas import (_f_closed, _f_rec, _f_stirling, chi_hom,
                        rho_isomorphism_check, verify_generating_identity)
 from .graphs import (Graph, are_isomorphic, chromatic_number, complement,
                      complete, cycle, max_independent_set)
-from .homcx import build_hom, count_hom_components
+from .homcx import _components, build_hom, count_hom_components
 from .morse import (check_quillen_A_proxy, check_quillen_B,
                     critical_drops_to_smaller, is_acyclic, kmn_matching,
                     neighborhood_poset_map)
 from .topology import (betti_gf2, connected_components, f_vector, face_poset,
-                       find_poset_isomorphism, merge_classes)
+                       find_poset_isomorphism)
 
 # both suites: the corpus seed, the fold pairs drawn, and the random graphs
 # and tie-break policies of the core-uniqueness check
@@ -177,8 +176,7 @@ def _betti_within(g: Graph, h: Graph, cap: int):
 
 def _big_component_count(fo: Graph) -> int:
     """Connected components with at least two vertices."""
-    sizes = Counter(merge_classes(fo.n, fo.edge_pairs()))
-    return sum(1 for size in sizes.values() if size >= 2)
+    return sum(c.bit_count() >= 2 for c in _components(fo.adj))
 
 
 def check_fold_soundness(cfg: dict):
@@ -291,15 +289,11 @@ def check_equivariant_bounds(cfg: dict):
 
     sound = []
     tight = {}
-    tight_expect = {"K3": 3, "K4": 4, "K5": 5, "C5": 3, "petersen": 3}
-    if cfg["full"]:
-        tight_expect["K6"] = 6
+    tight_expect = {"K3": 3, "K4": 4, "K5": 5, "K6": 6, "C5": 3,
+                    "petersen": 3}
     skipped = []
     for name, g in loopless_corpus().items():
         if g.num_edges() == 0:
-            continue
-        if not cfg["full"] and name == "K6":
-            skipped.append(name)
             continue
         try:
             b = coloring_bound(g, 2)
@@ -369,7 +363,7 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, suite: str = "fast") -> dict:
+def run_checks(names, suite: str) -> dict:
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
     cfg = SUITES[suite]

@@ -48,7 +48,7 @@ def direct_betti(c):
         cols[d].append(col)
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
-        ranks[k] = pure.gf2_rank(cols[k])
+        ranks[k] = pure.gf2_rank(cols[k], set())
     return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
@@ -58,7 +58,7 @@ def residue_and_matching(c):
     _, mate, seeds = topology._check_and_coreduce(data)
     mu = {i: m for i, m in enumerate(mate) if m >= 0 and dims[m] > dims[i]}
     residue = [dims[i] for i, m in enumerate(mate) if m < 0]
-    return residue, seeds, PartialMatching(face_poset(c), mu, carrier=c)
+    return residue, seeds, PartialMatching(c, mu)
 
 
 def reference_check(dims, facets):
@@ -307,7 +307,8 @@ def test_clearing_ranks_only_the_uncleared_columns(c):
     profile, steps = clearing_steps(c)
     assert profile.betti == direct_betti(c)
     cells, column = residue(c)
-    ranks = [pure.gf2_rank(list(map(column, cs))) for cs in cells] + [0]
+    ranks = [pure.gf2_rank(list(map(column, cs)), set())
+             for cs in cells] + [0]
     for k, (rf, ranked, cleared, rank) in steps.items():
         assert rank == ranks[k]
         assert ranked == rf - ranks[k + 1] == rf - len(cleared)

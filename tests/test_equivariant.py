@@ -412,22 +412,22 @@ def test_invariant_component_matches_union_find_labels(h):
 
 
 def test_coloring_bound():
-    assert coloring_bound(complete(2)) == 2
-    assert coloring_bound(complete(3)) == 3
-    assert coloring_bound(cycle(5)) == 3
-    assert coloring_bound(cycle(6)) == 2
-    assert coloring_bound(petersen()) == 3 == chromatic_number(petersen())
+    assert coloring_bound(complete(2), 2) == 2
+    assert coloring_bound(complete(3), 2) == 3
+    assert coloring_bound(cycle(5), 2) == 3
+    assert coloring_bound(cycle(6), 2) == 2
+    assert coloring_bound(petersen(), 2) == 3 == chromatic_number(petersen())
     with pytest.raises(DomainError):
         coloring_bound(complete(3), m=1)
     with pytest.raises(DomainError):
-        coloring_bound(complete(3, looped=True))
+        coloring_bound(complete(3, looped=True), 2)
     with pytest.raises(DomainError):
-        coloring_bound(complete(1))  # K_2 has nowhere to go
+        coloring_bound(complete(1), 2)  # K_2 has nowhere to go
 
 
 def test_bound_sound_on_small_graphs():
     for g in (complete(4), cycle(7), disjoint_union(cycle(5), complete(2))):
-        assert coloring_bound(g) <= chromatic_number(g)
+        assert coloring_bound(g, 2) <= chromatic_number(g)
 
 
 def test_higher_m_bound():
@@ -436,7 +436,7 @@ def test_higher_m_bound():
 
 
 def test_equivariant_report():
-    rep = equivariant_report(cycle(5))
+    rep = equivariant_report(cycle(5), 2, None)
     assert rep["free"] is True
     assert rep["bound"] == rep["sw_height"] + 2 == 3
     assert rep["quotient_betti"][0] == 1
@@ -445,7 +445,7 @@ def test_equivariant_report():
 @pytest.mark.parametrize("m", [1, 0])
 def test_report_needs_m_at_least_2(m):
     with pytest.raises(DomainError, match=r"need m >= 2 for the swap action"):
-        equivariant_report(complete(3), m)
+        equivariant_report(complete(3), m, None)
 
 
 # --------------------------------------- orbit complex against the oracle
@@ -488,15 +488,17 @@ def test_projective_orbit_quotients(n):
 
 
 def test_pinned_quotient_betti():
-    assert equivariant_report(complete(5), 3)["quotient_betti"] == [1, 1, 15]
-    assert equivariant_report(petersen(), 2)["quotient_betti"] == [1, 6, 0]
+    assert equivariant_report(complete(5), 3, None)["quotient_betti"] \
+        == [1, 1, 15]
+    assert equivariant_report(petersen(), 2, None)["quotient_betti"] \
+        == [1, 6, 0]
 
 
 @pytest.mark.parametrize("g,bound", [(complete(6), 6), (complete(7), 7),
                                      (complete(8), 8), (kneser(2, 6), 4)])
 def test_bounds_past_the_subdivision(g, bound):
     # kneser(2,6) has chi = 6 - 4 + 2 = 4 (Lovasz)
-    assert coloring_bound(g) == bound
+    assert coloring_bound(g, 2) == bound
 
 
 def test_height_checks_the_cap_before_any_span_test(monkeypatch):
@@ -511,7 +513,7 @@ def test_height_checks_the_cap_before_any_span_test(monkeypatch):
         sw_height(x, a)
     assert spans == []
     with pytest.raises(ResourceError):
-        coloring_bound(complete(5))
+        coloring_bound(complete(5), 2)
     assert spans == []
     monkeypatch.undo()
     monkeypatch.setattr(topology, "MATRIX_BIT_CAP", largest)

@@ -1,6 +1,7 @@
 """Every name the package exports, and every module-level function and
 class, is used by the program, not only by tests; every defaulted
-parameter is set by some call in the program; no check is an `assert`;
+parameter is set by some call in the program, and left to its default by
+another; no check is an `assert`;
 no module reads the environment or another object's private attributes.
 
 A name that no other module of the package and no benchmark script uses is
@@ -135,6 +136,21 @@ def test_every_defaulted_parameter_is_set_by_the_program():
                         for callee, npos, keys in found)]
     unset = sorted(set(unset) - UNSET_ALLOWED)
     assert not unset, "no program call sets " + ", ".join(unset)
+
+
+def test_no_default_that_every_program_call_overrides():
+    # a default that every call replaces is a required parameter in disguise
+    files = sorted(PACKAGE.rglob("*.py"))
+    found = [c for p in files + sorted((ROOT / "perfbench").glob("*.py"))
+             for c in calls(p)]
+    always = []
+    for p in files:
+        for label, name, param, pos in defaulted_parameters(p):
+            sets = [param in keys or pos is not None and pos < npos
+                    for callee, npos, keys in found if callee == name]
+            if sets and all(sets):
+                always.append(label)
+    assert not always, "every program call sets " + ", ".join(sorted(always))
 
 
 def package_nodes():

@@ -1,6 +1,8 @@
 """Matching validity and acyclicity, the K_m/K_n collapse, and the fiber
 conditions for poset maps."""
 
+import random
+
 import pytest
 
 from homtopo import morse
@@ -10,28 +12,42 @@ from homtopo.homcx import build_hom
 from homtopo.morse import (PartialMatching, PosetMap, check_quillen_A_proxy,
                            check_quillen_B, critical_drops_to_smaller,
                            is_acyclic, kmn_matching, neighborhood_poset_map)
-from homtopo.topology import Poset, betti_gf2, face_poset
+from homtopo.topology import (ChainData, Poset, SimplicialComplex, betti_gf2,
+                              face_poset)
 
 
-def segment_poset():
+class Faces:
+    """A carrier that is nothing but its face data."""
+
+    def __init__(self, dims, facets):
+        self.data = ChainData(dims, facets)
+
+    def chain_data(self):
+        return self.data
+
+
+def segment():
     # {a}, {b} < {ab}
-    return Poset([0, 0, 1], [[], [], [0, 1]])
+    return SimplicialComplex([(0,), (1,), (0, 1)])
 
 
 def test_matching_validation():
-    p = segment_poset()
-    PartialMatching(p, {0: 2}).validate()
+    c = segment()
+    PartialMatching(c, {0: 2}).validate()
     with pytest.raises(DomainError):
-        PartialMatching(p, {0: 2, 1: 2}).validate()  # not injective
+        PartialMatching(c, {0: 2, 1: 2}).validate()  # not injective
     with pytest.raises(DomainError):
-        PartialMatching(p, {0: 1}).validate()        # not a covering
-    bigger = Poset([0, 1, 2], [[], [0], [1]])
+        PartialMatching(c, {0: 1}).validate()        # not a covering
+    for y in (3, -1):  # no such cell, and not one counted from the end
+        with pytest.raises(DomainError):
+            PartialMatching(c, {0: y}).validate()
+    bigger = Faces([0, 1, 2], [[], [0], [1]])
     with pytest.raises(DomainError):
         PartialMatching(bigger, {0: 1, 1: 2}).validate()  # 1 used twice
 
 
 def test_acyclic_positive():
-    m = PartialMatching(segment_poset(), {0: 2})
+    m = PartialMatching(segment(), {0: 2})
     assert is_acyclic(m)
     assert m.critical_indices() == [1]
     assert m.to_json_obj(True) == {"acyclic": True, "critical": 1,
@@ -39,11 +55,62 @@ def test_acyclic_positive():
 
 
 def test_acyclic_negative():
-    # two bottoms a,b and two tops x,y with all four covers; matching
-    # a->x, b->y flows a->x->b->y->a
-    p = Poset([0, 0, 1, 1], [[], [], [0, 1], [0, 1]])
-    assert not is_acyclic(PartialMatching(p, {0: 2, 1: 3}))
-    assert is_acyclic(PartialMatching(p, {0: 2}))
+    # two vertices a,b and two edges x,y joining them; matching a->x, b->y
+    # flows a->x->b->y->a
+    c = Faces([0, 0, 1, 1], [[], [], [0, 1], [0, 1]])
+    assert not is_acyclic(PartialMatching(c, {0: 2, 1: 3}))
+    assert is_acyclic(PartialMatching(c, {0: 2}))
+
+
+def random_matching(facets, rng):
+    """Each cell, in random order, is matched with a random facet that is
+    still free, most of the time."""
+    used, mu = set(), {}
+    for i in rng.sample(range(len(facets)), len(facets)):
+        free = [j for j in facets[i] if j not in used]
+        if i not in used and free and rng.random() < 0.8:
+            j = rng.choice(free)
+            mu[j] = i
+            used |= {i, j}
+    return mu
+
+
+def has_cycle(facets, mu):
+    """Oracle: a depth-first search for an arc back onto its own path, with
+    matched covers pointing up and the rest down."""
+    out = [[] for _ in facets]
+    for i, fs in enumerate(facets):
+        for j in fs:
+            if mu.get(j) == i:
+                out[j].append(i)
+            else:
+                out[i].append(j)
+    state = [0] * len(facets)  # 0 unseen, 1 on the path, 2 done
+
+    def visit(v):
+        state[v] = 1
+        for w in out[v]:
+            if state[w] == 1 or not state[w] and visit(w):
+                return True
+        state[v] = 2
+        return False
+
+    return any(not state[v] and visit(v) for v in range(len(facets)))
+
+
+def test_acyclic_agrees_with_a_cycle_search():
+    rng = random.Random(2)
+    outcomes = set()
+    for g, h in [(complete(2), complete(4)), (cycle(5), complete(3)),
+                 (complete(3), complete(4)), (complete(2), complete(5))]:
+        x = build_hom(g, h)
+        facets = x.chain_data()[1]
+        for _ in range(150):
+            mu = random_matching(facets, rng)
+            acyclic = is_acyclic(PartialMatching(x, mu))
+            assert acyclic == (not has_cycle(facets, mu))
+            outcomes.add(acyclic)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4),
@@ -52,7 +119,7 @@ def test_kmn_matching(m, n):
     pm, crit = kmn_matching(m, n)
     assert is_acyclic(pm)
     # partition property: every A_1 cell is matched or critical
-    assert 2 * len(pm.mu) + len(pm.critical_indices()) == len(pm.poset)
+    assert 2 * len(pm.mu) + len(pm.critical_indices()) == len(pm.carrier)
     assert len(crit) == len(pm.critical_indices())
     assert len(crit) == len(build_hom(complete(m - 1), complete(n - 1)))
     assert critical_drops_to_smaller(crit, m, n)

@@ -44,7 +44,7 @@ def test_run_checks_suites():
 
 
 def test_run_checks_report_shape():
-    report = run_checks(names=["exclusions"])
+    report = run_checks(["exclusions"], "fast")
     assert report["suite"] == "fast"
     assert report["status"] == "pass"
     (row,) = report["checks"]
@@ -56,13 +56,13 @@ def test_run_checks_report_shape():
 
 def test_run_checks_order_is_declaration_order():
     names = ["cayley-graph", "exclusions", "formula-tri-agreement"]
-    report = run_checks(names=names)
+    report = run_checks(names, "fast")
     assert [r["name"] for r in report["checks"]] == names
 
 
 def test_run_checks_unknown_name():
     with pytest.raises(DomainError):
-        run_checks(names=["no-such-check"])
+        run_checks(["no-such-check"], "fast")
 
 
 def test_crashed_check_is_failed(monkeypatch):
@@ -70,7 +70,7 @@ def test_crashed_check_is_failed(monkeypatch):
         raise ValueError("synthetic crash")
 
     monkeypatch.setitem(CHECKS, "exclusions", boom)
-    report = run_checks(names=["exclusions"])
+    report = run_checks(["exclusions"], "fast")
     assert report["status"] == "fail"
     (row,) = report["checks"]
     assert row["status"] == "fail"
@@ -85,7 +85,7 @@ def test_notes_surface_in_row():
     saved = dict(CHECKS)
     CHECKS["exclusions"] = chatty
     try:
-        report = run_checks(names=["exclusions"])
+        report = run_checks(["exclusions"], "fast")
     finally:
         CHECKS.clear()
         CHECKS.update(saved)
