@@ -16,7 +16,7 @@ from .corpus import named_corpus
 from .equivariant import equivariant_report
 from .errors import BudgetError, DomainError, ResourceError
 from .folds import irreducible_core, random_policy
-from .formulas import (MN_MAX, chi_hom, cycle_components, f_table, f_wedge,
+from .formulas import (chi_hom, cycle_components, f_table, f_wedge,
                        mn_faces, verify_generating_identity)
 from .graphs import (GRAPH_NAME_RE, Graph, load_graph, parse_graph_name,
                      to_json_obj)
@@ -132,8 +132,6 @@ def cmd_formulas(args) -> int:
         _emit_kv({"m": args.m, "upto": args.upto, "identity": ok}, args.pretty)
         return 0 if ok else 1
     elif args.which == "mn":
-        if args.n > MN_MAX:
-            raise ResourceError(f"M_n enumeration capped at n={MN_MAX}")
         faces = mn_faces(args.n)  # proper faces only: dim <= n - 1
         fv = [0] * args.n
         for lab in faces:

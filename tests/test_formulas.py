@@ -47,13 +47,6 @@ def test_f_known_values():
         f_wedge(0, 3)
 
 
-def test_f_methods_agree():
-    for m in range(1, 10):
-        for n in range(m, 11):
-            assert formulas._f_rec(m, n) == formulas._f_closed(m, n) \
-                == formulas._f_stirling(m, n) == f_wedge(m, n)
-
-
 def test_chi():
     assert chi_hom(3, 3) == 6
     assert chi_hom(1, 7) == 1
@@ -108,8 +101,6 @@ def test_chi_exact_past_float_precision():
 def test_large_n_without_recursion():
     # f(3,n) = 2^n - 3 in closed form
     assert f_wedge(3, 1000) == 2 ** 1000 - 3
-    assert formulas._f_rec(3, 1000) == formulas._f_stirling(3, 1000) \
-        == formulas._f_closed(3, 1000)
     assert next(itertools.islice(formulas._stirling_column(3), 1000, None)) \
         == brute_stirling2(1000, 3)
     assert chi_hom(3, 1000) == 4 - 2 ** 1000
@@ -147,7 +138,7 @@ def test_mn_face_counts():
         assert max(lab.dim for lab in faces) == n - 1
     with pytest.raises(DomainError):
         mn_faces(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ResourceError):
         mn_faces(MN_MAX + 1)
 
 
@@ -166,16 +157,16 @@ def test_mn_label_validation():
     with pytest.raises(DomainError):
         MnFaceLabel("star-", (1, 0))        # wrong alphabet
     with pytest.raises(DomainError):
-        MnFaceLabel("middle", (1, 0))       # middle needs its twin
+        MnFaceLabel("middle", (1, "*"))     # a middle face needs a 0 too
     with pytest.raises(DomainError):
-        MnFaceLabel("middle", (1, "*"), (0, "*"))  # needs a 0 too
+        MnFaceLabel("middle", (-1, 0))      # wrong alphabet
     with pytest.raises(DomainError):
         MnFaceLabel("weird", (1,))
 
 
 def test_mn_vertices_realize_faces():
     # a star face is a cube of its free digits; a middle face joins the
-    # top cube of f with the bottom cube of its twin, one dimension up
+    # top cube of f with that cube one digit lower, one dimension up
     for lab in mn_faces(2) + mn_faces(3):
         vs = lab.vertices()
         assert len(vs) == 2 ** lab.dim
@@ -225,23 +216,7 @@ def test_f_table():
         assert r["chi"] == chi_hom(r["m"], r["n"])
 
 
-@pytest.fixture
-def fresh_chi():
-    chi_hom.cache_clear()
-    yield
-    chi_hom.cache_clear()
-
-
-def test_method_disagreement_raises(monkeypatch, fresh_chi):
-    closed = formulas._f_closed
-    monkeypatch.setattr(formulas, "_f_closed", lambda m, n: closed(m, n) + 1)
-    with pytest.raises(ConsistencyError):
-        f_wedge(3, 5)
-    with pytest.raises(ConsistencyError):
-        chi_hom(3, 5)
-
-
-def test_table_method_disagreement_raises(monkeypatch):
+def test_method_disagreement_raises(monkeypatch):
     closed = formulas._f_closed_values
 
     def off_by_one(m, n):
@@ -251,27 +226,25 @@ def test_table_method_disagreement_raises(monkeypatch):
 
     monkeypatch.setattr(formulas, "_f_closed_values", off_by_one)
     assert f_table(2, 8)
-    with pytest.raises(ConsistencyError, match=r"f\(3,5\)"):
-        f_table(3, 8)
+    for call in (lambda: f_wedge(3, 5), lambda: chi_hom(3, 5),
+                 lambda: f_table(3, 8)):
+        with pytest.raises(ConsistencyError, match=r"f\(3,5\)"):
+            call()
 
 
-def test_table_chi_identity_raises(monkeypatch):
+def test_chi_identity_raises(monkeypatch):
     # all three f streams agree on a wrong value: only the chi identity sees it
     def shifted(real):
         return lambda *a: (v + 1 for v in real(*a))
 
-    for name in ("_f_rec_values", "_f_closed_values", "_f_stirling_values"):
+    for name in ("_f_closed_values", "_f_stirling_values"):
         monkeypatch.setattr(formulas, name, shifted(getattr(formulas, name)))
-    with pytest.raises(ConsistencyError, match=r"chi\(1,1\)"):
-        f_table(3, 5)
-
-
-def test_chi_identity_raises(monkeypatch, fresh_chi):
-    # all three f methods agree on a wrong value: only the chi identity sees it
-    for name in ("_f_rec", "_f_closed", "_f_stirling"):
-        real = getattr(formulas, name)
-        monkeypatch.setattr(formulas, name,
-                            lambda m, n, real=real: real(m, n) + 1)
-    assert f_wedge(3, 5) == 30
-    with pytest.raises(ConsistencyError):
-        chi_hom(3, 5)
+    # the recurrence is the corner -1 diagonal stream; chi's (corner 0) stays
+    diagonals = formulas._kmn_diagonals
+    monkeypatch.setattr(
+        formulas, "_kmn_diagonals", lambda m, corner, sign:
+        (v + (corner == -1) for v in diagonals(m, corner, sign)))
+    for call in (lambda: f_wedge(3, 5), lambda: chi_hom(3, 5),
+                 lambda: f_table(3, 5)):
+        with pytest.raises(ConsistencyError, match=r"chi\("):
+            call()
