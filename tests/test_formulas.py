@@ -225,14 +225,26 @@ def test_method_disagreement_raises(monkeypatch):
             n += 1
 
     monkeypatch.setattr(formulas, "_f_closed_values", off_by_one)
-    assert f_table(2, 8)
-    for call in (lambda: f_wedge(3, 5), lambda: chi_hom(3, 5),
-                 lambda: f_table(3, 8)):
+    for call in (lambda: f_wedge(3, 5), lambda: chi_hom(3, 5)):
         with pytest.raises(ConsistencyError, match=r"f\(3,5\)"):
             call()
 
 
-def test_chi_identity_raises(monkeypatch):
+def test_table_method_disagreement_raises(monkeypatch):
+    closed = formulas._f_closed_values
+
+    def off_by_one(m, n):
+        for v in closed(m, n):
+            yield v + (m == 3 and n == 5)
+            n += 1
+
+    monkeypatch.setattr(formulas, "_f_closed_values", off_by_one)
+    assert f_table(2, 8)
+    with pytest.raises(ConsistencyError, match=r"f\(3,5\)"):
+        f_table(3, 8)
+
+
+def _shift_all_f_streams(monkeypatch):
     # all three f streams agree on a wrong value: only the chi identity sees it
     def shifted(real):
         return lambda *a: (v + 1 for v in real(*a))
@@ -244,7 +256,16 @@ def test_chi_identity_raises(monkeypatch):
     monkeypatch.setattr(
         formulas, "_kmn_diagonals", lambda m, corner, sign:
         (v + (corner == -1) for v in diagonals(m, corner, sign)))
-    for call in (lambda: f_wedge(3, 5), lambda: chi_hom(3, 5),
-                 lambda: f_table(3, 5)):
+
+
+def test_table_chi_identity_raises(monkeypatch):
+    _shift_all_f_streams(monkeypatch)
+    with pytest.raises(ConsistencyError, match=r"chi\(1,1\)"):
+        f_table(3, 5)
+
+
+def test_chi_identity_raises(monkeypatch):
+    _shift_all_f_streams(monkeypatch)
+    for call in (lambda: f_wedge(3, 5), lambda: chi_hom(3, 5)):
         with pytest.raises(ConsistencyError, match=r"chi\("):
             call()
