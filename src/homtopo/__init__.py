@@ -1,9 +1,9 @@
 """Polyhedral complexes of graph multihomomorphisms and their invariants."""
 
 from ._kernels import BACKEND  # read only by perfbench/worker.py
-from .equivariant import (Involution, OrbitComplex, coloring_bound,
-                          equivariant_report, has_invariant_component,
-                          induced_involution, quotient, sw_height)
+from .equivariant import (OrbitComplex, coloring_bound, equivariant_report,
+                          has_invariant_component, induced_involution,
+                          quotient, sw_height)
 from .errors import (BudgetError, ConsistencyError, DomainError, HomtopoError,
                      ResourceError)
 from .folds import (DominationRecord, ReductionTrace, core_uniqueness_check,
@@ -18,7 +18,7 @@ from .graphs import (Graph, are_isomorphic, chromatic_number, complement,
                      max_independent_set, parse_graph_name, path, petersen,
                      q_graph, validate_involution)
 from .homcx import (HomComplex, build_hom, count_hom_components,
-                    face_relation, neighborhood_complex)
+                    neighborhood_complex)
 from .morse import (PartialMatching, PosetMap, check_quillen_A_proxy,
                     check_quillen_B, critical_drops_to_smaller, is_acyclic,
                     kmn_matching, neighborhood_poset_map)

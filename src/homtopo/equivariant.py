@@ -1,14 +1,14 @@
 """Z/2-actions on Hom complexes, quotients, and the height of w_1.
 
-A free involution a of Hom(G,H) induced by an automorphism gamma of G acts
-on cell orbits, and the orbits form a regular CW complex: a cell and its
-image share no face.  If phi lay under both eta and eta∘gamma, the
-pointwise intersection of eta and eta∘gamma would contain phi, so it
-would be a cell, and gamma would fix it.  (For the swap of vertices 0 and
-1 of K_m this is plain: a face (A',B',...) and its swap (B',A',...) both
-lie under eta = (A,B,...) only if A' lies in A and B, which are disjoint.)
-So the facets of an orbit are the orbits of the facets of either cell in
-it, each once.
+A free involution a of Hom(G,H) induced by an automorphism gamma of G, held
+as its permutation of cell indices, acts on cell orbits, and the orbits
+form a regular CW complex: a cell and its image share no face.  If phi lay
+under both eta and eta∘gamma, the pointwise intersection of eta and
+eta∘gamma would contain phi, so it would be a cell, and gamma would fix
+it.  (For the swap of vertices 0 and 1 of K_m this is plain: a face
+(A',B',...) and its swap (B',A',...) both lie under eta = (A,B,...) only
+if A' lies in A and B, which are disjoint.)  So the facets of an orbit are
+the orbits of the facets of either cell in it, each once.
 
 w_1 and its cup powers come from the transfer (Smith-Gysin) sequence
 0 -> C*(X/Z2) -> C*(X) -> C*(X/Z2) -> 0 over GF(2).  Its connecting map is
@@ -28,7 +28,6 @@ the lift, so faces match too.  Heights and bounds do not use it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_, rshift
 
@@ -41,18 +40,8 @@ from .topology import (ChainData, SimplicialComplex, betti_gf2, f_vector,
                        face_poset, merge_classes, order_complex)
 
 
-@dataclass(frozen=True)
-class Involution:
-    perm: tuple[int, ...]       # on cell indices
-    fixed: tuple[int, ...]      # fixed cell indices, if any
-
-    @property
-    def free(self) -> bool:
-        return not self.fixed
-
-
-def induced_involution(x: HomComplex, gamma) -> Involution:
-    """The cell map eta -> eta∘gamma for an automorphism gamma of the source.
+def induced_involution(x: HomComplex, gamma) -> tuple[int, ...]:
+    """The cell permutation eta -> eta∘gamma for an automorphism gamma of G.
 
     The image of a packed key moves fields, not cells: the fields of the
     vertices gamma fixes stay (k & keep), and each other vertex v takes the
@@ -80,23 +69,16 @@ def induced_involution(x: HomComplex, gamma) -> Involution:
                           map(field.__and__, map(op, keys, repeat(by)))))
     index = x.index()
     try:
-        perm = tuple(map(index.__getitem__, images))
+        return tuple(map(index.__getitem__, images))
     except KeyError:
         i = next(i for i, k in enumerate(images) if k not in index)
         raise DomainError(f"cell {x.cell_label(i)} has its image under "
                           f"gamma outside the complex") from None
-    fixed = tuple(i for i, j in enumerate(perm) if i == j)
-    return Involution(perm, fixed)
-
-
-def _require_free(x: HomComplex, a: Involution) -> None:
-    if not a.free:
-        raise DomainError(
-            f"action is not free: cell {x.cell_label(a.fixed[0])} is fixed")
 
 
 class OrbitComplex:
-    """CW complex of the cell orbits {eta, a(eta)} of a free involution.
+    """CW complex of the cell orbits {eta, a(eta)} of a free involution a,
+    given as its cell permutation; a fixed cell raises DomainError.
 
     x must list its cells in dimension order, as the chain-data protocol
     of topology requires; orbits are numbered by their lower cell index,
@@ -106,16 +88,18 @@ class OrbitComplex:
     each orbit, or, given `rep_seed`, either cell at random from that seed.
     """
 
-    def __init__(self, x, a: Involution, rep_seed: int | None = None):
-        _require_free(x, a)
-        xdims, xfacets = x.chain_data()
+    def __init__(self, x, a: tuple[int, ...], rep_seed: int | None = None):
         rng = random.Random(rep_seed) if rep_seed is not None else None
-        orb = [-1] * len(xdims)
+        orb = [-1] * len(a)
         reps = []
-        for i, j in enumerate(a.perm):
+        for i, j in enumerate(a):
+            if i == j:
+                raise DomainError(
+                    f"action is not free: cell {x.cell_label(i)} is fixed")
             if orb[i] < 0:
                 orb[i] = orb[j] = len(reps)
                 reps.append(j if rng is not None and rng.random() < 0.5 else i)
+        xdims, xfacets = x.chain_data()
         dims = [xdims[r] for r in reps]
         facets = []
         for r in reps:
@@ -175,7 +159,7 @@ class OrbitComplex:
         return self._w[k]
 
 
-def quotient(x, a: Involution) -> SimplicialComplex:
+def quotient(x, a: tuple[int, ...]) -> SimplicialComplex:
     """The barycentric-subdivision quotient X/a: the order complex of the
     face poset of the orbit complex."""
     return order_complex(face_poset(OrbitComplex(x, a)))
@@ -194,7 +178,7 @@ def _height(q: OrbitComplex) -> int:
     return top
 
 
-def sw_height(x, a: Involution, rep_seed: int | None = None) -> int:
+def sw_height(x, a: tuple[int, ...], rep_seed: int | None = None) -> int:
     """Largest k with w_1^k != 0 on the quotient (0 if w_1 = 0).
 
     `rep_seed` picks each orbit's representative cell at random from that
@@ -205,7 +189,7 @@ def sw_height(x, a: Involution, rep_seed: int | None = None) -> int:
     return _height(OrbitComplex(x, a, rep_seed))
 
 
-def has_invariant_component(x, a: Involution) -> bool:
+def has_invariant_component(x, a: tuple[int, ...]) -> bool:
     """Is some connected component mapped to itself?  (Blocks maps to S^0.)
 
     Read on X's own 1-skeleton: every component holds a 0-cell and `a`
@@ -216,7 +200,7 @@ def has_invariant_component(x, a: Involution) -> bool:
     data.forest  # checks the 0- and 1-cells
     n0, n01 = (*data.ranges, len(data[0]), len(data[0]))[1:3]
     labels = merge_classes(n0, data[1][n0:n01])
-    return any(labels[v] == labels[a.perm[v]] for v in range(n0))
+    return any(labels[v] == labels[a[v]] for v in range(n0))
 
 
 def _swap_map(m: int) -> tuple[int, ...]:
@@ -224,7 +208,8 @@ def _swap_map(m: int) -> tuple[int, ...]:
 
 
 def _swap_action(g: Graph, m: int, budget: int | None):
-    """Hom(K_m,g) and the swap of K_m's vertices 0 and 1 acting on it."""
+    """Hom(K_m,g) and its swap of K_m's vertices 0 and 1, a cell permutation;
+    free, as a fixed eta has eta(0) = eta(1) and the edge 01 needs a loop."""
     if m < 2:
         raise DomainError("need m >= 2 for the swap action")
     if not g.is_loopless():
@@ -244,7 +229,7 @@ def equivariant_report(g: Graph, m: int, budget: int | None) -> dict:
     x, a = _swap_action(g, m, budget)
     q = OrbitComplex(x, a)
     k = _height(q)
-    return {"free": a.free,
+    return {"free": True,  # _swap_action admits no fixed cell
             "quotient_betti": list(betti_gf2(q).betti),
             "sw_height": k,
             "bound": k + m}

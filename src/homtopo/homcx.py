@@ -76,9 +76,6 @@ class HomComplex:
             self._index = index
         return self._index
 
-    def __contains__(self, cell) -> bool:
-        return self.key_of(cell) in self.index()
-
     def cells(self):
         return [self.cell_of(k) for k in self.keys]
 
@@ -283,14 +280,6 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
         raise ConsistencyError(f"enumerated {len(keys)} cells of "
                                f"Hom(G,{name}), counted {count}")
     return HomComplex(g, h, keys, whole=True)
-
-
-def face_relation(x: HomComplex, a, b) -> bool:
-    """Is cell a a face of cell b (entrywise mask inclusion)?"""
-    for c in (a, b):
-        if c not in x:
-            raise DomainError(f"cell {tuple(c)} is not in this complex")
-    return all(ma & ~mb == 0 for ma, mb in zip(a, b))
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:

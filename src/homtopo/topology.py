@@ -15,8 +15,8 @@ vertex tuples, and a simplex's facets are the tuples one vertex shorter.
 `order_complex` builds one from a poset's chains, each a simplex with its
 elements as vertices; on the face poset of a regular CW complex it is the
 barycentric subdivision.  `Poset.chains` builds the chains a length at a
-time, each extended by every element above its greatest one, then sorts
-once.  `SimplicialComplex.chain_data` takes the simplices a block of equal
+time, in sorted order, each extended by every element above its greatest.
+`SimplicialComplex.chain_data` takes the simplices a block of equal
 length at a time, with one column of face indices per dropped position,
 so the per-simplex work runs in C-level map and itemgetter calls.  Each
 row is sorted: a chain lists its elements least first, not in ascending
@@ -95,8 +95,8 @@ class SimplicialComplex:
 
     A simplex is a chain, least first, or ascending vertex numbers; its
     facets are the simplices that drop one vertex.  `simplices`, given in
-    lexicographic order, is sorted in place, stably by length: (length,
-    tuple) order.
+    lexicographic or (length, tuple) order, is sorted in place, stably by
+    length: (length, tuple) order.
     """
 
     def __init__(self, simplices: list[tuple[int, ...]]):
@@ -213,9 +213,9 @@ class Poset:
 
     def chains(self) -> list[tuple[int, ...]]:
         """All nonempty chains, each as a tuple of its elements from least
-        to greatest, in lexicographic order.  They are built a length at a
-        time: each chain of one level grows by every element above its
-        greatest element."""
+        to greatest, by length, then lexicographically: each chain of one
+        level grows by every element above its greatest, in ascending
+        order, so each level comes out sorted as the one below it is."""
         # ups[j]: the 1-tuples of the elements above j
         ups = [[(i,) for i in bits(m)] for m in self.above]
         level = [(i,) for i in range(len(self.grades))]
@@ -223,7 +223,6 @@ class Poset:
         while level:
             out += level
             level = [c + u for c in level for u in ups[c[-1]]]
-        out.sort()
         return out
 
 

@@ -204,6 +204,21 @@ def test_rho_isomorphism(n):
     assert rho_isomorphism_check(n)
 
 
+def test_rho_check_fails_when_containment_does_not_reverse(monkeypatch):
+    # complemented vertex sets turn every strict face relation around, so
+    # containment of faces then matches containment of cells, not its reverse
+    vertex_masks = formulas._vertex_masks
+
+    def complemented(faces):
+        masks = vertex_masks(faces)
+        full = (1 << max(masks).bit_length()) - 1
+        return [full ^ m for m in masks]
+
+    monkeypatch.setattr(formulas, "_vertex_masks", complemented)
+    assert not rho_isomorphism_check(2)
+    assert not rho_isomorphism_check(3)
+
+
 def test_f_table():
     rows = f_table(3, 4)
     assert {(r["m"], r["n"]) for r in rows} == \

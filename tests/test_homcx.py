@@ -15,7 +15,7 @@ from homtopo.formulas import cycle_components, kmn_cells
 from homtopo.graphs import (Graph, bits, complete, cycle, disjoint_union,
                             from_edges, path, petersen, q_graph)
 from homtopo.homcx import (HomComplex, build_hom, count_hom_components,
-                           face_relation, neighborhood_complex)
+                           neighborhood_complex)
 from homtopo.topology import (SPLIT_MIN_CELLS, betti_gf2,
                               connected_components, f_vector, face_poset)
 
@@ -94,14 +94,6 @@ def test_missing_face_is_inconsistent():
         broken.chain_data()
 
 
-def test_face_relation():
-    x = build_hom(complete(2), complete(3))
-    assert face_relation(x, (0b001, 0b010), (0b001, 0b110))
-    assert not face_relation(x, (0b001, 0b010), (0b010, 0b101))
-    with pytest.raises(DomainError):
-        face_relation(x, (0b011, 0b100), (0b111, 0b111))
-
-
 def test_repeated_key_is_inconsistent():
     # the index would keep one copy, so both would get the same facets
     keys = list(build_hom(path(2), complete(3)).keys)
@@ -120,10 +112,6 @@ def test_masks_outside_the_target_are_refused(cell):
     x = build_hom(complete(2), complete(3))
     with pytest.raises(DomainError, match="nonempty subset"):
         x.key_of(cell)
-    with pytest.raises(DomainError):
-        cell in x
-    with pytest.raises(DomainError):
-        face_relation(x, (0b001, 0b010), cell)
 
 
 def test_empty_complex_has_dimension_minus_one():
