@@ -8,6 +8,7 @@ canonical order: dimension, then lexicographic on the mask tuple.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain, count, islice
 from math import prod
 
@@ -102,41 +103,51 @@ class HomComplex:
         r = k & (k - low) clears the lowest bit of each field (no field is
         empty, so nothing borrows across fields); t holds the high bit of
         each field where r is nonzero; (t << 1) - (t >> (w - 1)) fills those
-        fields.  0-cells have no facets.  Each `key ^ bit` must be in the
-        index, since the set is face-closed; a miss raises ConsistencyError.
-        Dropping a higher bit gives a smaller key, and inside one dimension
-        index order is key order, so each facet list comes out ascending.
+        fields.  0-cells have no facets.  Each `key ^ bit` is looked up in a
+        dict over the dimension below alone, built per dimension, so no index
+        of the whole complex is held; one that index() has built already (as
+        induced_involution does) serves every dimension instead.  A miss
+        means the set is not face-closed, and a repeated key leaves its own
+        dimension's dict short; either raises ConsistencyError.  Dropping a
+        higher bit gives a smaller key, and inside one dimension index order
+        is key order, so each facet list comes out ascending.
         """
         if self._chain is None:
-            index = self.index()
-            n_g, w = self.n_g, self.n_h
-            dims = []
-            facets = []
-            if self.keys:
+            keys, index, n_g, w = self.keys, self._index, self.n_g, self.n_h
+            dims, facets, below = [], [], {}
+            if keys:
                 low = sum(1 << (x * w) for x in range(n_g))
                 high = low << (w - 1)
                 rest = low * ((1 << w) - 1) ^ high
                 up = w - 1
-            for i, k in enumerate(self.keys):
-                d = k.bit_count() - n_g
-                dims.append(d)
-                if not d:
-                    facets.append([])
-                    continue
-                r = k & (k - low)
-                t = (((r & rest) + rest) | r) & high
-                m = k & ((t << 1) - (t >> up))
-                fs = []
-                try:
-                    while m:
-                        bit = 1 << (m.bit_length() - 1)
-                        m ^= bit
-                        fs.append(index[k ^ bit])
-                except KeyError:
-                    raise ConsistencyError(
-                        f"cell {self.cell_label(i)} lacks the face "
-                        f"{self.cell_of(k ^ bit)}: not face-closed") from None
-                facets.append(fs)
+            a = 0
+            while a < len(keys):
+                d = keys[a].bit_count() - n_g
+                b = bisect_right(keys, d + n_g, a, key=int.bit_count)
+                dims += [d] * (b - a)
+                for i, k in enumerate(islice(keys, a, b), a):
+                    if not d:
+                        facets.append([])
+                        continue
+                    r = k & (k - low)
+                    t = (((r & rest) + rest) | r) & high
+                    m = k & ((t << 1) - (t >> up))
+                    fs = []
+                    try:
+                        while m:
+                            bit = 1 << (m.bit_length() - 1)
+                            m ^= bit
+                            fs.append(below[k ^ bit])
+                    except KeyError:
+                        raise ConsistencyError(
+                            f"cell {self.cell_label(i)} lacks the face "
+                            f"{self.cell_of(k ^ bit)}: not face-closed"
+                        ) from None
+                    facets.append(fs)
+                below = index or dict(zip(islice(keys, a, b), range(a, b)))
+                if below is not index and len(below) != b - a:
+                    raise ConsistencyError("a cell is listed more than once")
+                a = b
             self._chain = ChainData(dims, facets)
         return self._chain
 

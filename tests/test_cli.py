@@ -14,7 +14,8 @@ import homtopo
 from homtopo import topology
 from homtopo.cli import main, resolve_graph
 from homtopo.errors import DomainError
-from homtopo.graphs import complete, petersen
+from homtopo.graphs import complete, cycle, petersen
+from homtopo.homcx import HomComplex, build_hom
 
 
 def run(capsys, *argv):
@@ -142,6 +143,25 @@ def test_one_order_pass_and_one_forest_per_complex(capsys, monkeypatch, argv):
     code, _ = run_json(capsys, *argv)
     assert code == 0
     assert calls == {"dim_ranges": 1, "_spanning_forest": 1}
+
+
+def test_betti_and_hom_build_no_whole_complex_index(capsys, monkeypatch):
+    # face data are looked up one dimension below; only the involution,
+    # the K_m,K_n matching and tests ask for an index of every cell
+    calls = []
+    real = HomComplex.index
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(HomComplex, "index", counted)
+    x = build_hom(cycle(5), complete(5))
+    assert topology.betti_gf2(x).betti == (1, 0, 1, 1, 0, 1)
+    code, obj = run_json(capsys, "hom", "--source", "petersen", "--target",
+                         "K4", "--fvector", "--betti", "--components")
+    assert code == 0 and obj["betti"] == [1, 6, 265, 20, 0, 0, 0]
+    assert calls == []
 
 
 def test_verify_json_path_checked_before_the_run(capsys, tmp_path,

@@ -1,7 +1,7 @@
 """Every name the package exports, and every module-level function and
 class, is used by the program, not only by tests; every defaulted
 parameter is set by some call in the program, and left to its default by
-another; no check is an `assert`;
+another; every top-level import is read; no check is an `assert`;
 no module reads the environment or another object's private attributes.
 
 A name that no other module of the package and no benchmark script uses is
@@ -151,6 +151,28 @@ def test_no_default_that_every_program_call_overrides():
             if sets and all(sets):
                 always.append(label)
     assert not always, "every program call sets " + ", ".join(sorted(always))
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names bound by one file's top-level imports that the file never
+    reads; a `from __future__` import is a directive, not a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [(a.asname or a.name).split(".")[0] for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for a in node.names]
+    return [f"{path.relative_to(ROOT)}: {name}" for name in bound
+            if name not in read]
+
+
+def test_every_top_level_import_is_read():
+    # an __init__ imports to re-export; anywhere else an unread import is
+    # a dependency that nothing has
+    files = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "tests").glob("*.py")
+    assert [name for p in sorted(files) for name in unread_imports(p)] == []
 
 
 def package_nodes():

@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from homtopo.errors import BudgetError, DomainError, ResourceError
 from homtopo.folds import (dominated_pairs, fold, irreducible_core,
                            random_policy, smallest_policy)
-from homtopo.graphs import (Graph, are_isomorphic, bits, complete, cycle,
+from homtopo.graphs import (are_isomorphic, bits, complete, cycle,
                             from_edges, path, petersen)
 from homtopo.homcx import build_hom
 from homtopo.topology import betti_gf2
