@@ -8,7 +8,7 @@ eta∘gamma would contain phi, so it would be a cell, and gamma would fix
 it.  (For the swap of vertices 0 and 1 of K_m this is plain: a face
 (A',B',...) and its swap (B',A',...) both lie under eta = (A,B,...) only
 if A' lies in A and B, which are disjoint.)  So the facets of an orbit are
-the orbits of the facets of either cell in it, each once.
+the orbits of either cell's facets, each once, read off the representative.
 
 w_1 and its cup powers come from the transfer (Smith-Gysin) sequence
 0 -> C*(X/Z2) -> C*(X) -> C*(X/Z2) -> 0 over GF(2).  Its connecting map is
@@ -28,6 +28,7 @@ the lift, so faces match too.  Heights and bounds do not use it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from itertools import repeat
 from operator import lshift, or_, rshift
 
@@ -45,9 +46,10 @@ def induced_involution(x: HomComplex, gamma) -> tuple[int, ...]:
 
     The image of a packed key moves fields, not cells: the fields of the
     vertices gamma fixes stay (k & keep), and each other vertex v takes the
-    field of gamma[v] by one shift and mask, over all keys at once.  A
-    complex not closed under gamma raises DomainError naming a cell whose
-    image it lacks.
+    field of gamma[v] by one shift and mask, over all keys at once.  Sorted
+    by image, a dimension block lists the cells whose images are its keys
+    in key order, which is its share of the involution.  A cell whose image
+    the complex lacks is named in a DomainError.
     """
     gamma = validate_involution(x.g, gamma)
     n, w = x.n_g, x.n_h
@@ -67,31 +69,38 @@ def induced_involution(x: HomComplex, gamma) -> tuple[int, ...]:
     for op, by, field in moves:
         images = list(map(or_, images,
                           map(field.__and__, map(op, keys, repeat(by)))))
-    index = x.index()
-    try:
-        return tuple(map(index.__getitem__, images))
-    except KeyError:
-        i = next(i for i, k in enumerate(images) if k not in index)
-        raise DomainError(f"cell {x.cell_label(i)} has its image under "
-                          f"gamma outside the complex") from None
+    perm, a = [], 0
+    while a < len(keys):
+        b = bisect_right(keys, keys[a].bit_count(), a, key=int.bit_count)
+        order = sorted(range(a, b), key=images.__getitem__)
+        if list(map(images.__getitem__, order)) != keys[a:b]:
+            block = set(keys[a:b])
+            for i in range(a, b):
+                if images[i] not in block:
+                    raise DomainError(f"cell {x.cell_label(i)} has its image "
+                                      f"under gamma outside the complex")
+            raise ConsistencyError("a cell is listed more than once")
+        perm += order
+        a = b
+    return tuple(perm)
 
 
 class OrbitComplex:
     """CW complex of the cell orbits {eta, a(eta)} of a free involution a,
-    given as its cell permutation; a fixed cell raises DomainError.
+    given as its cell permutation; a fixed cell raises DomainError before
+    any facet is read.
 
-    x must list its cells in dimension order, as the chain-data protocol
-    of topology requires; orbits are numbered by their lower cell index,
-    so they come in dimension order too, and the ranges of the orbit
-    complex's ChainData give the orbits of each dimension.
-    reps[t] is the cell chosen to stand for orbit t: the lower cell index of
-    each orbit, or, given `rep_seed`, either cell at random from that seed.
+    Orbits are numbered by their lower cell index, so each dimension block
+    of x holds half as many orbits, in order.  reps[t] is the cell chosen to
+    stand for orbit t: the lower cell index of each orbit, or, given
+    `rep_seed`, either cell at random from that seed.  Only the facets of
+    the representatives are read, each as its orbit.
     """
 
     def __init__(self, x, a: tuple[int, ...], rep_seed: int | None = None):
         rng = random.Random(rep_seed) if rep_seed is not None else None
         orb = [-1] * len(a)
-        reps = []
+        self.reps = reps = []
         for i, j in enumerate(a):
             if i == j:
                 raise DomainError(
@@ -99,17 +108,13 @@ class OrbitComplex:
             if orb[i] < 0:
                 orb[i] = orb[j] = len(reps)
                 reps.append(j if rng is not None and rng.random() < 0.5 else i)
-        xdims, xfacets = x.chain_data()
-        dims = [xdims[r] for r in reps]
-        facets = []
-        for r in reps:
-            fs = {orb[j] for j in xfacets[r]}
-            if len(fs) != len(xfacets[r]):
+        self._keys = rk = list(map(x.keys.__getitem__, reps))
+        dims, facets = x.facet_scan(orb, lambda lo, hi: rk[lo // 2:hi // 2])
+        for r, fs in zip(reps, facets):
+            fs.sort()
+            if len(set(fs)) != len(fs):
                 raise ConsistencyError(
                     f"two facets of cell {r} lie in one orbit of the involution")
-            facets.append(sorted(fs))
-        self.complex = x
-        self.reps = reps
         self._chain = ChainData(dims, facets)
         # w_1^0: the all-ones 0-cochain, one bit per 0-orbit
         self._w = [(1 << (self._chain.ranges[1] if dims else 0)) - 1]
@@ -142,18 +147,16 @@ class OrbitComplex:
         """A cocycle representing w_1^k, as a bitmask over the k-orbits."""
         if not 0 <= k <= self.dim:
             return 0
-        xfacets = self.complex.chain_data()[1]
-        reps, start = self.reps, self._chain.ranges
+        facets, start, rk = self._chain[1], self._chain.ranges, self._keys
         while len(self._w) <= k:
             d = len(self._w)
-            vec = self._w[-1]
-            # the lift: representatives of the (d-1)-orbits where vec is 1
-            lo = start[d - 1]
-            lift = {reps[lo + t] for t in bits(vec)}
+            lift = {start[d - 1] + t for t in bits(self._w[-1])}
             out = 0
             for s, t in enumerate(range(start[d], start[d + 1])):
-                # delta_X of the lift on the representative of orbit t
-                if sum(j in lift for j in xfacets[reps[t]]) & 1:
+                # delta_X of the lift on t's representative: the lifted
+                # facet orbits whose representatives its key contains
+                key = rk[t]
+                if sum(not rk[j] & ~key for j in facets[t] if j in lift) & 1:
                     out |= 1 << s
             self._w.append(out)
         return self._w[k]

@@ -40,7 +40,6 @@ class HomComplex:
         self.n_h = h.n
         # stable popcount sort of numerically sorted keys: (dimension, key)
         self.keys = sorted(sorted(keys), key=int.bit_count)
-        self._index: dict[int, int] | None = None
         self._chain = None
         self._whole = whole
         self._factors: tuple[HomComplex, ...] | None = None
@@ -69,14 +68,6 @@ class HomComplex:
             key = key << w | m
         return key
 
-    def index(self) -> dict[int, int]:
-        if self._index is None:
-            index = {k: i for i, k in enumerate(self.keys)}
-            if len(index) != len(self.keys):
-                raise ConsistencyError("a cell is listed more than once")
-            self._index = index
-        return self._index
-
     def cells(self):
         return [self.cell_of(k) for k in self.keys]
 
@@ -93,62 +84,62 @@ class HomComplex:
         # the keys are sorted by popcount, so the last one has the top dimension
         return self.keys[-1].bit_count() - self.n_g if self.keys else -1
 
-    def chain_data(self) -> ChainData:
-        """(dims, facets): per cell its dimension and ascending facet indices.
+    def facet_scan(self, values, picks=None):
+        """(dims, facets) over the keys, or over picks(a, b) from each
+        dimension block keys[a:b]: per key its dimension and the values[i]
+        of its facets i.  Bits are dropped highest first, and a higher bit
+        dropped gives a smaller key, so the facets come smallest key first.
 
-        A facet drops one bit from a field that keeps at least one, so only
-        the bits of fields holding two or more are looked up.  They are
-        found word-parallel on the packed key, with low, high and rest the
-        lowest bit, the highest bit and the other w - 1 bits of every field:
-        r = k & (k - low) clears the lowest bit of each field (no field is
-        empty, so nothing borrows across fields); t holds the high bit of
-        each field where r is nonzero; (t << 1) - (t >> (w - 1)) fills those
-        fields.  0-cells have no facets.  Each `key ^ bit` is looked up in a
-        dict over the dimension below alone, built per dimension, so no index
-        of the whole complex is held; one that index() has built already (as
-        induced_involution does) serves every dimension instead.  A miss
-        means the set is not face-closed, and a repeated key leaves its own
-        dimension's dict short; either raises ConsistencyError.  Dropping a
-        higher bit gives a smaller key, and inside one dimension index order
-        is key order, so each facet list comes out ascending.
+        A facet drops a bit from a field holding two or more.  With low,
+        high and rest the lowest, the highest and the other w - 1 bits of
+        every field, r = k & (k - low) clears each field's lowest bit (no
+        field is empty, so nothing borrows); t holds the high bit of each
+        field where r is nonzero; (t << 1) - (t >> (w - 1)) fills those
+        fields.  Each `key ^ bit` is looked up in a dict over the block
+        below: a miss (not face-closed) or a dict left short (a repeated
+        key) raises ConsistencyError.
         """
-        if self._chain is None:
-            keys, index, n_g, w = self.keys, self._index, self.n_g, self.n_h
-            dims, facets, below = [], [], {}
-            if keys:
-                low = sum(1 << (x * w) for x in range(n_g))
-                high = low << (w - 1)
-                rest = low * ((1 << w) - 1) ^ high
-                up = w - 1
-            a = 0
-            while a < len(keys):
-                d = keys[a].bit_count() - n_g
-                b = bisect_right(keys, d + n_g, a, key=int.bit_count)
-                dims += [d] * (b - a)
-                for i, k in enumerate(islice(keys, a, b), a):
-                    if not d:
-                        facets.append([])
-                        continue
+        keys, n_g, w = self.keys, self.n_g, self.n_h
+        low = sum(1 << (x * w) for x in range(n_g))
+        high, up = low << w >> 1, w - 1
+        rest = low * ((1 << w) - 1) ^ high
+        dims, facets, below, a = [], [], {}, 0
+        while a < len(keys):
+            d = keys[a].bit_count() - n_g
+            b = bisect_right(keys, d + n_g, a, key=int.bit_count)
+            start = len(facets)
+            rows = picks(a, b) if picks else islice(keys, a, b)
+            if not d:  # 0-cells have no facets
+                facets += [[] for _ in rows]
+                rows = ()
+            try:
+                for k in rows:
                     r = k & (k - low)
                     t = (((r & rest) + rest) | r) & high
                     m = k & ((t << 1) - (t >> up))
                     fs = []
-                    try:
-                        while m:
-                            bit = 1 << (m.bit_length() - 1)
-                            m ^= bit
-                            fs.append(below[k ^ bit])
-                    except KeyError:
-                        raise ConsistencyError(
-                            f"cell {self.cell_label(i)} lacks the face "
-                            f"{self.cell_of(k ^ bit)}: not face-closed"
-                        ) from None
+                    while m:
+                        bit = 1 << (m.bit_length() - 1)
+                        m ^= bit
+                        fs.append(below[k ^ bit])
                     facets.append(fs)
-                below = index or dict(zip(islice(keys, a, b), range(a, b)))
-                if below is not index and len(below) != b - a:
-                    raise ConsistencyError("a cell is listed more than once")
-                a = b
-            self._chain = ChainData(dims, facets)
+            except KeyError:
+                raise ConsistencyError(
+                    f"cell {self.cell_label(keys.index(k, a, b))} lacks the "
+                    f"face {self.cell_of(k ^ bit)}: not face-closed") from None
+            dims += [d] * (len(facets) - start)
+            below = dict(zip(islice(keys, a, b), values[a:b]))
+            if len(below) != b - a:
+                raise ConsistencyError("a cell is listed more than once")
+            a = b
+        return dims, facets
+
+    def chain_data(self) -> ChainData:
+        """(dims, facets): per cell its dimension and facet indices, from
+        facet_scan with each cell's index as its value.  Inside a dimension
+        index order is key order, so each facet list comes out ascending."""
+        if self._chain is None:
+            self._chain = ChainData(*self.facet_scan(range(len(self.keys))))
         return self._chain
 
     def factors(self) -> tuple["HomComplex", ...]:

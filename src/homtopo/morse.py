@@ -75,7 +75,8 @@ def kmn_matching(m: int, n: int):
     target vertex; eta with that vertex absent from eta(0) is matched with
     eta(0) extended by it.  Returns (matching, critical subcomplex); the
     critical cells are exactly those with eta(0) = {last}.  Vertex 0's
-    field is the highest of a key, so each test is one mask on the key.
+    field is the highest of a key, so each test is one mask on the key and
+    eta is facet [0] of its partner, which adds the key's highest bit.
 
     The cell count of Hom(K_m,K_n) is checked against CELL_BUDGET before
     anything is enumerated.
@@ -91,9 +92,10 @@ def kmn_matching(m: int, n: int):
     last0 = 1 << (m * n - 1)
     rest = sum(1 << (v * n + n - 1) for v in range(m - 1))
     a1 = HomComplex(x.g, x.h, [k for k in x.keys if not k & rest])
-    idx = a1.index()
-    mu = {idx[k]: idx[k | last0] for k in a1.keys if not k & last0}
-    crit = [k for k in a1.keys if k >> (m - 1) * n == 1 << (n - 1)]
+    facets, top0 = a1.chain_data()[1], 1 << (n - 1)
+    mu = {facets[i][0]: i for i, k in enumerate(a1.keys)
+          if k & last0 and k >> (m - 1) * n != top0}
+    crit = [k for k in a1.keys if k >> (m - 1) * n == top0]
     return PartialMatching(a1, mu), HomComplex(x.g, x.h, crit)
 
 

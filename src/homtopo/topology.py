@@ -461,6 +461,8 @@ def betti_gf2(c) -> BettiProfile:
             ranks[k] = gf2_rank(cols, cleared)
     betti = [rf[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     betti[0] += seeds
+    if min(betti) < 0:  # rank d_k + rank d_{k+1} > rf[k]: d d = 0 forbids it
+        raise ConsistencyError(f"negative Betti number in {betti}")
     euler = sum((-1) ** k * fk for k, fk in enumerate(f))
     if euler != sum((-1) ** k * b for k, b in enumerate(betti)):
         raise ConsistencyError(

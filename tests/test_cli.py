@@ -13,9 +13,10 @@ import pytest
 import homtopo
 from homtopo import topology
 from homtopo.cli import main, resolve_graph
+from homtopo.equivariant import coloring_bound
 from homtopo.errors import DomainError
-from homtopo.graphs import complete, cycle, petersen
-from homtopo.homcx import HomComplex, build_hom
+from homtopo.graphs import complete, petersen
+from homtopo.homcx import HomComplex
 
 
 def run(capsys, *argv):
@@ -145,22 +146,20 @@ def test_one_order_pass_and_one_forest_per_complex(capsys, monkeypatch, argv):
     assert calls == {"dim_ranges": 1, "_spanning_forest": 1}
 
 
-def test_betti_and_hom_build_no_whole_complex_index(capsys, monkeypatch):
-    # face data are looked up one dimension below; only the involution,
-    # the K_m,K_n matching and tests ask for an index of every cell
+def test_equivariant_bound_reads_no_face_data_of_x(capsys, monkeypatch):
+    # the orbit complex reads its facets off the representatives' keys, so
+    # Hom(K_m,G) itself never builds its chain data
     calls = []
-    real = HomComplex.index
+    real = HomComplex.chain_data
 
     def counted(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(HomComplex, "index", counted)
-    x = build_hom(cycle(5), complete(5))
-    assert topology.betti_gf2(x).betti == (1, 0, 1, 1, 0, 1)
-    code, obj = run_json(capsys, "hom", "--source", "petersen", "--target",
-                         "K4", "--fvector", "--betti", "--components")
-    assert code == 0 and obj["betti"] == [1, 6, 265, 20, 0, 0, 0]
+    monkeypatch.setattr(HomComplex, "chain_data", counted)
+    assert coloring_bound(petersen(), 2) == 3
+    code, obj = run_json(capsys, "equivariant", "bound", "--graph", "K6")
+    assert code == 0 and obj["sw_height"] == 4
     assert calls == []
 
 

@@ -459,10 +459,54 @@ except ConsistencyError:
 """
 
 
-def test_euler_check_survives_optimize():
+def run_optimized(script: str) -> str:
     src = os.path.dirname(os.path.dirname(homtopo.__file__))
-    out = subprocess.run([sys.executable, "-O", "-c", EULER_UNDER_O],
+    out = subprocess.run([sys.executable, "-O", "-c", script],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "caught"
+    return out.stdout.strip()
+
+
+def test_euler_check_survives_optimize():
+    assert run_optimized(EULER_UNDER_O) == "caught"
+
+
+def test_negative_betti_number_is_inconsistent(monkeypatch):
+    # one rank too many at d_4 of Hom(C5,K5), the first one taken, would
+    # give (1,0,1,1,-1,0).  The Euler check cannot see it: the alternating
+    # Betti sum telescopes to the residue's, whatever the ranks are
+    real = topology.gf2_rank
+    calls = []
+
+    def first_rank_too_high(cols, cleared):
+        calls.append(len(cols))
+        return real(cols, cleared) + (len(calls) == 1)
+
+    monkeypatch.setattr(topology, "gf2_rank", first_rank_too_high)
+    with pytest.raises(ConsistencyError,
+                       match=r"negative Betti number in \[1, 0, 1, 1, -1, 0\]"):
+        betti_gf2(build_hom(cycle(5), complete(5)))
+    assert calls[0] == 443  # the columns of d_4 on the residue
+
+
+NEGATIVE_UNDER_O = """
+from homtopo import topology
+from homtopo.errors import ConsistencyError
+from homtopo.graphs import complete, cycle
+from homtopo.homcx import build_hom
+real, calls = topology.gf2_rank, []
+def first_rank_too_high(cols, cleared):
+    calls.append(len(cols))
+    return real(cols, cleared) + (len(calls) == 1)
+topology.gf2_rank = first_rank_too_high
+try:
+    topology.betti_gf2(build_hom(cycle(5), complete(5)))
+except ConsistencyError as e:
+    print(e)
+"""
+
+
+def test_negative_betti_check_survives_optimize():
+    assert run_optimized(NEGATIVE_UNDER_O) == (
+        "negative Betti number in [1, 0, 1, 1, -1, 0]")

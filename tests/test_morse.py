@@ -125,6 +125,19 @@ def test_kmn_matching(m, n):
     assert critical_drops_to_smaller(crit, m, n)
 
 
+@pytest.mark.parametrize("m,n", [(m, n) for n in range(2, 7)
+                                 for m in range(2, n + 1)])
+def test_kmn_pairs_match_a_key_dict(m, n):
+    # oracle: each A_1 key without the last target at vertex 0 is paired
+    # with that key plus it, both looked up in a dict over every key
+    pm, _ = kmn_matching(m, n)
+    keys = pm.carrier.keys
+    idx = {k: i for i, k in enumerate(keys)}
+    last0 = 1 << (m * n - 1)
+    want = {idx[k]: idx[k | last0] for k in keys if not k & last0}
+    assert list(pm.mu.items()) == list(want.items())
+
+
 def test_kmn_subcomplex_shape():
     pm, _ = kmn_matching(3, 4)
     a1 = pm.carrier
