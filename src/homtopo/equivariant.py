@@ -37,8 +37,8 @@ from ._kernels import gf2_in_span
 from .errors import ConsistencyError, DomainError, ResourceError
 from .graphs import Graph, bits, complete, validate_involution
 from .homcx import HomComplex, build_hom
-from .topology import (ChainData, SimplicialComplex, betti_gf2, f_vector,
-                       face_poset, merge_classes, order_complex)
+from .topology import (ChainData, betti_gf2, f_vector, face_poset,
+                       merge_classes)
 
 
 def induced_involution(x: HomComplex, gamma) -> tuple[int, ...]:
@@ -162,10 +162,11 @@ class OrbitComplex:
         return self._w[k]
 
 
-def quotient(x, a: tuple[int, ...]) -> SimplicialComplex:
+def quotient(x, a: tuple[int, ...]) -> topology.SimplicialComplex:
     """The barycentric-subdivision quotient X/a: the order complex of the
-    face poset of the orbit complex."""
-    return order_complex(face_poset(OrbitComplex(x, a)))
+    face poset of the orbit complex.  Only the benchmark's RP^n case and
+    the tests build it; the program reads the orbit complex itself."""
+    return topology.order_complex(face_poset(OrbitComplex(x, a)))
 
 
 def _height(q: OrbitComplex) -> int:

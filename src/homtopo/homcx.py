@@ -14,8 +14,9 @@ from math import prod
 
 from ._kernels import enumerate_hom_cells
 from .errors import BudgetError, ConsistencyError, DomainError
-from .graphs import Graph, bits, enumerate_homomorphisms, induced_subgraph
-from .topology import ChainData, SimplicialComplex, merge_classes
+from .graphs import (Graph, bits, complete, enumerate_homomorphisms,
+                     induced_subgraph)
+from .topology import ChainData, merge_classes
 
 CELL_BUDGET = 5_000_000
 # build_hom counts Hom(G,K_n) first only for sources up to this size: the
@@ -67,17 +68,6 @@ class HomComplex:
                                   f"the {w} target vertices")
             key = key << w | m
         return key
-
-    def cells(self):
-        return [self.cell_of(k) for k in self.keys]
-
-    def zero_cells(self):
-        """The 0-cells as plain vertex maps, in lexicographic order."""
-        out = []
-        for k in self.keys:
-            if k.bit_count() == self.n_g:
-                out.append(tuple(m.bit_length() - 1 for m in self.cell_of(k)))
-        return sorted(out)
 
     @property
     def dim(self) -> int:
@@ -284,15 +274,20 @@ def build_hom(g: Graph, h: Graph, budget: int | None = None) -> HomComplex:
     return HomComplex(g, h, keys, whole=True)
 
 
-def neighborhood_complex(g: Graph) -> SimplicialComplex:
-    """Simplices = vertex sets with a common neighbor."""
-    sims = set()
+def neighborhood_complex(g: Graph) -> HomComplex:
+    """Lovasz's N(g): simplices = vertex sets with a common neighbor.
+
+    It is the subcomplex of Hom(K_1, g), the full simplex on V(g), kept to
+    those sets: one key per set, its vertex mask, so a face is a subset and
+    the face data come from facet_scan like any Hom complex's.
+    """
+    keys = set()
     for nb in g.adj:
         sub = nb
         while sub:
-            sims.add(tuple(bits(sub)))
+            keys.add(sub)
             sub = (sub - 1) & nb
-    return SimplicialComplex(sorted(sims))
+    return HomComplex(complete(1), g, keys)
 
 
 def count_hom_components(g: Graph, h: Graph, budget: int | None = None) -> int:

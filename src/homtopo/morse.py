@@ -164,15 +164,12 @@ def check_quillen_A_proxy(f: PosetMap) -> bool:
 def neighborhood_poset_map(g: Graph):
     """The cell map (A,B) -> A from Hom(K_2,g) to the neighborhood complex.
 
+    A cell's key is A's mask above B's, so A is key >> g.n, itself a key of
+    the neighborhood complex (B's vertices are common neighbours of A).
     Returns (PosetMap, hom complex, neighborhood complex).
     """
     x = build_hom(complete(2), g)
     nc = neighborhood_complex(g)
-    src = face_poset(x)
-    tgt = face_poset(nc)
-    index = nc.index()
-    values = []
-    for k in x.keys:
-        a, _ = x.cell_of(k)
-        values.append(index[tuple(bits(a))])
-    return PosetMap(src, tgt, tuple(values)), x, nc
+    at = {k: i for i, k in enumerate(nc.keys)}
+    values = tuple(at[k >> g.n] for k in x.keys)
+    return PosetMap(face_poset(x), face_poset(nc), values), x, nc

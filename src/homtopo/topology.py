@@ -10,11 +10,13 @@ that, and ChainData is the one reader of the layout, each read made once:
 is their lengths); `forest` checks the 0- and 1-cells and grows one
 spanning forest, whose seeds count the components.
 
-`SimplicialComplex` is the one simplicial complex class: simplices are
-vertex tuples, and a simplex's facets are the tuples one vertex shorter.
-`order_complex` builds one from a poset's chains, each a simplex with its
-elements as vertices; on the face poset of a regular CW complex it is the
-barycentric subdivision.  `Poset.chains` builds the chains a length at a
+`SimplicialComplex` is the tuple layout, kept for order complexes:
+simplices are vertex tuples, and a simplex's facets are the tuples one
+vertex shorter.  Every other complex is packed keys.  `order_complex`
+builds one from a poset's chains, each a simplex with its elements as
+vertices; on the face poset of a regular CW complex it is the barycentric
+subdivision.  Its one program reader is equivariant.quotient, which the
+benchmark's RP^n case calls.  `Poset.chains` builds the chains a length at a
 time, in sorted order, each extended by every element above its greatest.
 `SimplicialComplex.chain_data` takes the simplices a block of equal
 length at a time, with one column of face indices per dropped position,
@@ -35,7 +37,8 @@ before any of their columns is built.  The residue is ranked from its top
 dimension down with clearing (Chen & Kerber, "Persistent homology
 computation with a twist", EuroCG 2011): a reduced column of d_{k+1} whose
 lowest bit is row i makes column i of d_k a sum of the columns after it,
-so that column is never built.
+so that column is never built.  d_1 is never ranked: the forest leaves no
+0-cell in the residue, so b_0 is the seed count.
 
 A complex may also offer `factors()`, complexes whose product it is cell by
 cell (HomComplex does for a disconnected source, after checking the
@@ -91,7 +94,8 @@ class BettiProfile:
 
 
 class SimplicialComplex:
-    """Simplicial complex of vertex tuples, closed under nonempty faces.
+    """Simplicial complex of vertex tuples, closed under nonempty faces:
+    order_complex's result, and the tests' reference layout.
 
     A simplex is a chain, least first, or ascending vertex numbers; its
     facets are the simplices that drop one vertex.  `simplices`, given in
@@ -115,10 +119,6 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return len(self.simplices[-1]) - 1 if self.simplices else -1
-
-    def index(self) -> dict[tuple[int, ...], int]:
-        """Simplex -> its position in `simplices`."""
-        return self._index
 
     def chain_data(self) -> ChainData:
         """(dims, facets); a face missing from the list raises
@@ -413,8 +413,8 @@ def betti_gf2(c) -> BettiProfile:
     are checked against MATRIX_BIT_CAP before any of their columns is
     built.
 
-    The residue is ranked with clearing, from the top dimension down.  The
-    rank of d_{k+1} reports its pivot rows, the lowest rows of its reduced
+    The residue is ranked with clearing, from the top dimension down to d_2.
+    The rank of d_{k+1} reports its pivot rows, the lowest rows of its reduced
     columns; those k-cells are left out of d_k.  Each one's column lies in
     the span of the columns after it, so by induction from the last one
     down it lies in the span of the columns kept, and rank d_k is
@@ -439,7 +439,8 @@ def betti_gf2(c) -> BettiProfile:
     cells = [[i for i in islice(ids, n) if mate[i] < 0] for n in f]
     local = {i: r for same_dim in cells for r, i in enumerate(same_dim)}
     rf = list(map(len, cells))
-    for k in range(1, top + 1):
+    # the forest pairs or seeds every 0-cell, so d_1 is zero on the residue
+    for k in range(2, top + 1):
         if rf[k] * rf[k - 1] > MATRIX_BIT_CAP:
             raise ResourceError(f"residue boundary matrix {rf[k - 1]}x{rf[k]}"
                                 f" exceeds {MATRIX_BIT_CAP} bits")
@@ -447,7 +448,7 @@ def betti_gf2(c) -> BettiProfile:
     # whose columns of d_k need not be built
     ranks = [0] * (top + 2)
     cleared: set[int] = set()
-    for k in range(top, 0, -1):
+    for k in range(top, 1, -1):
         cols = []
         for r, i in enumerate(cells[k]):
             if r not in cleared:

@@ -13,8 +13,9 @@ from math import comb, factorial
 
 from .corpus import (all_forests, all_trees, fold_pairs, loopless_corpus,
                      random_graphs)
-from .equivariant import (coloring_bound, has_invariant_component,
-                          induced_involution, quotient, sw_height)
+from .equivariant import (OrbitComplex, coloring_bound,
+                          has_invariant_component, induced_involution,
+                          sw_height)
 from .errors import BudgetError, DomainError, ResourceError
 from .folds import core_uniqueness_check, dominated_pairs, fold, \
     irreducible_core, smallest_policy
@@ -137,28 +138,22 @@ def check_cycle_examples(cfg: dict):
 
 def _cayley_matches(n: int) -> bool:
     """1-skeleton of Hom(K_{n-1},K_n) vs the Cayley graph of S_n generated
-    by the transpositions (j, n-1), via the completion bijection."""
+    by the transpositions (j, n-1), via the completion bijection: a
+    permutation's first n-1 values, one bit per field, are a 0-cell's key."""
     x = build_hom(complete(n - 1), complete(n))
-    verts = []
-    for cell in x.zero_cells():
-        image = 0
-        for v in cell:
-            image |= 1 << v
-        missing = (~image & (1 << n) - 1).bit_length() - 1
-        verts.append(cell + (missing,))
-    if sorted(verts) != sorted(permutations(range(n))):
-        return False
     data = x.chain_data()
-    cells = x.cells()
-    edges = {frozenset(cells[j] for j in data[1][i])
-             for i in range(*data.ranges[1:3])}
-    cayley = set()
+    n0, n01 = data.ranges[1:3]
+    verts, cayley = [], set()
     for pi in permutations(range(n)):
-        masks = tuple(1 << v for v in pi)
+        masks = [1 << v for v in pi]
+        verts.append(x.key_of(masks[:n - 1]))
         for j in range(n - 1):
-            tau = list(masks)
+            tau = masks[:]
             tau[j], tau[n - 1] = tau[n - 1], tau[j]
-            cayley.add(frozenset((masks[:n - 1], tuple(tau[:n - 1]))))
+            cayley.add(frozenset((verts[-1], x.key_of(tau[:n - 1]))))
+    if x.keys[:n0] != sorted(verts):
+        return False
+    edges = {frozenset(x.keys[j] for j in data[1][i]) for i in range(n0, n01)}
     return edges == cayley
 
 
@@ -270,7 +265,7 @@ def check_equivariant_bounds(cfg: dict):
         x = build_hom(complete(2), complete(n))
         a = induced_involution(x, (1, 0))
         expected[f"rp-betti-{n}"] = [1] * (n - 1)
-        computed[f"rp-betti-{n}"] = _trim(betti_gf2(quotient(x, a)).betti)
+        computed[f"rp-betti-{n}"] = _trim(betti_gf2(OrbitComplex(x, a)).betti)
         expected[f"height-{n}"] = n - 2
         computed[f"height-{n}"] = sw_height(x, a)
     x = build_hom(complete(2), complete(4))

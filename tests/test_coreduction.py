@@ -22,8 +22,8 @@ from homtopo.errors import BudgetError, ConsistencyError
 from homtopo.graphs import complete, cycle, petersen
 from homtopo.homcx import build_hom
 from homtopo.morse import PartialMatching, is_acyclic
-from homtopo.topology import (SimplicialComplex, betti_gf2, face_poset,
-                              order_complex)
+from homtopo.topology import (SimplicialComplex, betti_gf2,
+                              connected_components, face_poset, order_complex)
 from test_homcx import small_graphs
 from test_topology import (EmptyBoundary, OpenEdge, closure, perturbed_chain_data,
                            posets)
@@ -244,10 +244,11 @@ def clearing_steps(c, spans=True):
 
     The columns ranked for d_k must be those of the residue k-cells that are
     not pivot rows of the rank of d_{k+1}, in cell order; no call is made for
-    a dimension with no such column.  Returns (profile, steps), where
-    steps[k] = (residue k-cells, columns ranked, cleared rows, rank).  With
-    `spans`, each cleared column is also checked to lie in the span of the
-    ranked ones.
+    a dimension with no such column, nor for d_1: the forest leaves no
+    0-cell in the residue, so d_1 is zero there.  Returns (profile, steps),
+    where steps[k] = (residue k-cells, columns ranked, cleared rows, rank)
+    for k >= 2.  With `spans`, each cleared column is also checked to lie
+    in the span of the ranked ones.
     """
     real, calls = topology.gf2_rank, []
 
@@ -261,8 +262,9 @@ def clearing_steps(c, spans=True):
         mp.setattr(topology, "gf2_rank", spy)
         profile = betti_gf2(Cells(c))
     cells, column = residue(c)
+    assert cells[0] == []
     steps, cleared = {}, set()
-    for k in range(len(cells) - 1, 0, -1):
+    for k in range(len(cells) - 1, 1, -1):
         kept = [column(i) for r, i in enumerate(cells[k]) if r not in cleared]
         if spans:
             for r in cleared:
@@ -320,7 +322,7 @@ def test_petersen_k4_betti_with_clearing():
     profile, steps = clearing_steps(build_hom(petersen(), complete(4)),
                                     spans=False)
     assert profile.betti == (1, 6, 265, 20, 0, 0, 0)
-    assert sorted(steps) == [1, 2, 3, 4, 5, 6]
+    assert sorted(steps) == [2, 3, 4, 5, 6]
     for k, (rf, ranked, cleared, _) in steps.items():
         rank_above = steps[k + 1][3] if k < 6 else 0
         assert ranked == rf - rank_above == rf - len(cleared)
@@ -488,6 +490,25 @@ def test_negative_betti_number_is_inconsistent(monkeypatch):
                        match=r"negative Betti number in \[1, 0, 1, 1, -1, 0\]"):
         betti_gf2(build_hom(cycle(5), complete(5)))
     assert calls[0] == 443  # the columns of d_4 on the residue
+
+
+def test_d1_is_never_ranked(monkeypatch):
+    # the forest seeds or pairs every 0-cell, so the residue holds none and
+    # d_1 is zero on it: b_0 is the seed count.  A rank of d_1 one too high
+    # would give Hom(C4,K3) the Betti numbers (0,0,0), which no check sees
+    x = build_hom(cycle(4), complete(3))
+    cells, column = residue(x)
+    real, calls = topology.gf2_rank, []
+
+    def spy(cols, cleared):
+        calls.append(list(cols))
+        return real(cols, cleared)
+
+    monkeypatch.setattr(topology, "gf2_rank", spy)
+    profile = betti_gf2(x)
+    assert calls == [list(map(column, cells[2]))]  # d_2 alone
+    assert profile.betti == (1, 1, 0)
+    assert profile.betti[0] == connected_components(x)
 
 
 NEGATIVE_UNDER_O = """

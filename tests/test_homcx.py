@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from homtopo import homcx
 from homtopo._kernels import pure
+from homtopo.corpus import loopless_corpus
 from homtopo.errors import BudgetError, ConsistencyError, DomainError
 from homtopo.formulas import cycle_components, kmn_cells
 from homtopo.graphs import (Graph, bits, complete, cycle, disjoint_union,
                             from_edges, path, q_graph)
 from homtopo.homcx import (HomComplex, build_hom, count_hom_components,
                            neighborhood_complex)
-from homtopo.topology import (SPLIT_MIN_CELLS, betti_gf2,
+from homtopo.topology import (SPLIT_MIN_CELLS, SimplicialComplex, betti_gf2,
                               connected_components, f_vector)
 
 
@@ -47,10 +48,21 @@ ORACLE_PAIRS = [
 ]
 
 
+def cells(x):
+    """The cells of x as mask tuples, in key order."""
+    return [x.cell_of(k) for k in x.keys]
+
+
+def zero_cells(x):
+    """The 0-cells of x as plain vertex maps, in lexicographic order."""
+    return sorted(tuple(m.bit_length() - 1 for m in x.cell_of(k))
+                  for k in x.keys if k.bit_count() == x.n_g)
+
+
 @pytest.mark.parametrize("g,h", ORACLE_PAIRS)
 def test_cells_match_oracle(g, h):
     x = build_hom(g, h)
-    assert sorted(x.cells()) == sorted(brute_cells(g, h))
+    assert sorted(cells(x)) == sorted(brute_cells(g, h))
 
 
 def test_storage_order_and_packing():
@@ -68,7 +80,7 @@ def test_storage_order_and_packing():
 def test_zero_cells_are_homomorphisms():
     g, h = cycle(5), complete(3)
     x = build_hom(g, h)
-    zeros = x.zero_cells()
+    zeros = zero_cells(x)
     assert len(zeros) == 30
     for f in zeros:
         for u, v in g.edge_pairs():
@@ -144,7 +156,7 @@ def test_budget():
 
 def test_empty_complex():
     x = build_hom(complete(3), complete(2))
-    assert len(x) == 0 and x.cells() == []
+    assert len(x) == 0 and cells(x) == []
     assert f_vector(x) == ()
 
 
@@ -167,6 +179,41 @@ def test_neighborhood_complex():
     assert betti_gf2(nc).betti == (1, 1)
     nc4 = neighborhood_complex(complete(4))
     assert betti_gf2(nc4).betti[0] == 1
+
+
+def common_neighbour_masks(g):
+    """Oracle: every nonempty vertex mask inside some vertex's neighbourhood."""
+    return [m for m in range(1, 1 << g.n)
+            if any(not m & ~nb for nb in g.adj)]
+
+
+def assert_neighborhood_complex_matches_tuples(g):
+    """N(g)'s keys are the sets with a common neighbour, and its f-vector
+    and Betti numbers are those of the simplicial complex on the same
+    vertex tuples."""
+    nc = neighborhood_complex(g)
+    assert sorted(nc.keys) == common_neighbour_masks(g)
+    tuples = SimplicialComplex([tuple(bits(k)) for k in nc.keys])
+    assert f_vector(nc) == f_vector(tuples)
+    assert betti_gf2(nc).betti == betti_gf2(tuples).betti
+
+
+def test_neighborhood_complex_matches_tuples_on_corpus():
+    for g in loopless_corpus(7).values():
+        assert_neighborhood_complex_matches_tuples(g)
+
+
+@st.composite
+def loopless_graphs(draw, max_n):
+    """Any loopless graph on 1..max_n vertices."""
+    g = draw(small_graphs(max_n))
+    return from_edges(g.n, [(u, v) for u, v in g.edge_pairs() if u != v])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(loopless_graphs(7))
+def test_neighborhood_complex_matches_tuples(g):
+    assert_neighborhood_complex_matches_tuples(g)
 
 
 @pytest.mark.parametrize("g,h", [

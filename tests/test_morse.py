@@ -222,3 +222,6 @@ def test_neighborhood_map_fibers(g):
     assert check_quillen_B(f) is True
     assert check_quillen_A_proxy(f) is True
     assert betti_gf2(x).betti[0] == betti_gf2(nc).betti[0]
+    # (A,B) goes to A
+    assert f.values == tuple(nc.keys.index(nc.key_of(x.cell_of(k)[:1]))
+                             for k in x.keys)

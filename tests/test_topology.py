@@ -90,7 +90,7 @@ def test_empty_simplex_is_bad_input(simplices):
 def facets_one_at_a_time(c):
     """The per-simplex definition: a simplex's facets are the sorted indices
     of its one-vertex drops."""
-    index = c.index()
+    index = {t: i for i, t in enumerate(c.simplices)}
     return [sorted(index[t[:d] + t[d + 1:]] for d in range(len(t)))
             if len(t) > 1 else [] for t in c.simplices]
 

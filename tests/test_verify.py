@@ -2,7 +2,9 @@
 
 import pytest
 
+from homtopo import verify
 from homtopo.errors import DomainError
+from homtopo.homcx import HomComplex
 from homtopo.verify import (CHECKS, _product_of_spheres, _sphere, _trim,
                             _wedge_profile, run_checks)
 
@@ -91,3 +93,18 @@ def test_notes_surface_in_row():
         CHECKS.update(saved)
     (row,) = report["checks"]
     assert row["status"] == "pass" and row["notes"] == "extra detail"
+
+
+def test_cayley_check_sees_a_missing_edge(monkeypatch):
+    # drop one 1-cell of Hom(K3,K4) and every cell above it: the complex is
+    # still face-closed, and its 1-skeleton lacks one Cayley edge
+    assert verify._cayley_matches(4) is True
+    real = verify.build_hom
+
+    def lacking_an_edge(g, h):
+        x = real(g, h)
+        gone = next(k for k in x.keys if k.bit_count() - x.n_g == 1)
+        return HomComplex(x.g, x.h, [k for k in x.keys if (k & gone) != gone])
+
+    monkeypatch.setattr(verify, "build_hom", lacking_an_edge)
+    assert verify._cayley_matches(4) is False
