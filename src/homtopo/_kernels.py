@@ -1,4 +1,4 @@
-"""Pure-Python kernels: multihomomorphism cell enumeration and GF(2) rank.
+"""The bitmask kernels: multihomomorphism cell enumeration and GF(2) rank.
 
 Cells of the multihomomorphism complex from G (n_g vertices) to H (n_h
 vertices) are packed into single ints: the mask chosen for G-vertex x
@@ -21,6 +21,9 @@ emits the last vertex's cells as a batch.
 from __future__ import annotations
 
 from homtopo.errors import BudgetError
+
+BACKEND = "pure"  # read only by perfbench/worker.py; drop when it stops
+_core = None  # read only by perfbench/tracing.py; drop when it stops
 
 
 def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:

@@ -2,7 +2,7 @@
 
 Every command prints one JSON object to stdout (sorted keys, compact), or a
 plain-text table with --pretty.  Exit codes: 0 ok, 1 verification failure,
-2 usage error, 3 budget or resource limit.
+2 usage error, 3 budget or resource limit.  A closed stdout ends quietly.
 """
 
 from __future__ import annotations
@@ -50,16 +50,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _write(*lines: str) -> None:
+    """Every command's output goes out here.  A reader that closes the pipe
+    (``| head``) ends it quietly, and the command keeps its exit status."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:  # the rest of the output goes to the null device
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+
+
 def _emit_kv(obj: dict, pretty: bool):
     if not pretty:
-        print(_dump(obj))
+        _write(_dump(obj))
         return
     width = max(len(k) for k in obj)
-    for k in sorted(obj):
-        v = obj[k]
-        if isinstance(v, (dict, list)):
-            v = _dump(v)
-        print(f"{k:<{width}}  {v}")
+    _write(*(f"{k:<{width}}  {_dump(v) if isinstance(v, (dict, list)) else v}"
+             for k, v in sorted(obj.items())))
 
 
 # ------------------------------------------------------------ subcommands
@@ -118,39 +125,36 @@ def cmd_equivariant_bound(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    ok = True
     if args.which == "f":
-        _emit_kv({"m": args.m, "n": args.n, "f": f_wedge(args.m, args.n)},
-                 args.pretty)
+        obj = {"m": args.m, "n": args.n, "f": f_wedge(args.m, args.n)}
     elif args.which == "chi":
-        _emit_kv({"m": args.m, "n": args.n, "chi": chi_hom(args.m, args.n)},
-                 args.pretty)
+        obj = {"m": args.m, "n": args.n, "chi": chi_hom(args.m, args.n)}
     elif args.which == "c":
-        _emit_kv({"t": args.t, "components": cycle_components(args.t)},
-                 args.pretty)
+        obj = {"t": args.t, "components": cycle_components(args.t)}
     elif args.which == "gen":
         ok = verify_generating_identity(args.m, args.upto)
-        _emit_kv({"m": args.m, "upto": args.upto, "identity": ok}, args.pretty)
-        return 0 if ok else 1
+        obj = {"m": args.m, "upto": args.upto, "identity": ok}
     elif args.which == "mn":
         faces = mn_faces(args.n)  # proper faces only: dim <= n - 1
         fv = [0] * args.n
         for lab in faces:
             fv[lab.dim] += 1
-        _emit_kv({"n": args.n, "faces": len(faces), "f_vector": fv},
-                 args.pretty)
+        obj = {"n": args.n, "faces": len(faces), "f_vector": fv}
     else:  # table
         rows = f_table(args.max_m, args.max_n)
         if args.csv:
-            print("m,n,f,chi")
-            for r in rows:
-                print(f"{r['m']},{r['n']},{r['f']},{r['chi']}")
+            _write("m,n,f,chi", *(f"{r['m']},{r['n']},{r['f']},{r['chi']}"
+                                  for r in rows))
         elif args.pretty:
-            print(f"{'m':>3} {'n':>3} {'f':>12} {'chi':>12}")
-            for r in rows:
-                print(f"{r['m']:>3} {r['n']:>3} {r['f']:>12} {r['chi']:>12}")
+            _write(f"{'m':>3} {'n':>3} {'f':>12} {'chi':>12}",
+                   *(f"{r['m']:>3} {r['n']:>3} {r['f']:>12} {r['chi']:>12}"
+                     for r in rows))
         else:
-            print(_dump(rows))
-    return 0
+            _write(_dump(rows))
+        return 0
+    _emit_kv(obj, args.pretty)
+    return 0 if ok else 1
 
 
 def _check_writable(path: str) -> None:
@@ -177,13 +181,13 @@ def cmd_verify(args) -> int:
     if args.pretty:
         for row in report["checks"]:
             t = f"{row['elapsed']:>9}s" if "elapsed" in row else ""
-            print(f"{row['status']:>4}  {row['name']:<24}{t}")
+            _write(f"{row['status']:>4}  {row['name']:<24}{t}")
             if row["status"] != "pass":
-                print(f"      expected: {_dump(row['expected'])}")
-                print(f"      computed: {_dump(row['computed'])}")
-        print(report["status"].upper())
+                _write(f"      expected: {_dump(row['expected'])}",
+                       f"      computed: {_dump(row['computed'])}")
+        _write(report["status"].upper())
     else:
-        print(text)
+        _write(text)
     return 0 if report["status"] == "pass" else 1
 
 

@@ -7,8 +7,10 @@ import random
 from functools import lru_cache
 
 from .errors import BudgetError, DomainError
+from .folds import dominated_pairs
 from .graphs import (Graph, bits, complete, cycle, disjoint_union,
                      from_edges, path, petersen, q_graph)
+from .homcx import build_hom
 
 
 def star(k: int) -> Graph:
@@ -153,9 +155,6 @@ def fold_pairs(count: int, seed: int,
                cell_cap: int) -> list[tuple[Graph, Graph]]:
     """Seeded (G,H) pairs where G has a dominated vertex and Hom(G,H)
     fits in `cell_cap` cells."""
-    from .folds import dominated_pairs
-    from .homcx import build_hom
-
     targets = [complete(3), complete(4), complete(5), cycle(5), cycle(7),
                complete_bipartite(3, 3)]
     rng = random.Random(seed)

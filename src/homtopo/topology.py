@@ -154,6 +154,7 @@ class SimplicialComplex:
                             "not face-closed") from None
                 facets += map(sorted, zip(*cols))
             self._chain = ChainData(dims, facets)
+            self._index = None  # read by nothing once the face data exist
         return self._chain
 
 

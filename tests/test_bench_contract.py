@@ -45,9 +45,20 @@ def test_traced_methods_exist(tracing):
 
 def test_backend_names_read_by_perfbench():
     # worker.py reports homtopo.BACKEND; tracing.py replays kernel calls
-    # against pure only when _kernels._core is set
+    # only when _kernels._core is set
     assert homtopo.BACKEND == "pure"
     assert _kernels._core is None
+
+
+def test_traced_kernels_are_defined_in_the_kernel_module(tracing):
+    # one module, one import path: each kernel the tracer wraps lives in
+    # homtopo._kernels itself, not in a package re-exporting a submodule
+    assert not hasattr(_kernels, "__path__")
+    kernels = [attr for _, modname, attr, _ in tracing.FUNCTIONS
+               if modname == "homtopo._kernels"]
+    assert kernels == ["enumerate_hom_cells", "gf2_rank", "gf2_in_span"]
+    for attr in kernels:
+        assert getattr(_kernels, attr).__module__ == "homtopo._kernels"
 
 
 def test_rank_reached_through_topology():

@@ -339,6 +339,23 @@ def test_dense_source_empty_at_once():
     assert time.perf_counter() - start < 2
 
 
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the README example into `head -c 10`: the 931,458-byte cell list
+    # overfills the pipe, so the CLI writes on after the reader has gone
+    src = os.path.dirname(os.path.dirname(homtopo.__file__))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "homtopo.cli", "hom", "--source", "C7",
+             "--target", "K4", "--emit-cells"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=err)
+        assert proc.stdout.read(10) == b'{"cell_lis'
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert code == 0
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
 def test_verify_budgets_are_not_an_input():
     # the two suites are fixed; no flag overrides their budgets
     for flag, value in (("--set", "seed=1"), ("--config", "x.cfg")):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from homtopo import homcx
-from homtopo._kernels import pure
+from homtopo import _kernels, homcx
 from homtopo.corpus import loopless_corpus
 from homtopo.errors import BudgetError, ConsistencyError, DomainError
 from homtopo.formulas import cycle_components, kmn_cells
@@ -322,7 +321,7 @@ def test_complete_target_count_property(g, n):
     count = homcx._complete_target_cells(g.adj, n)
     cap = 2000
     if count <= cap:
-        assert len(pure.enumerate_hom_cells(g.adj, complete(n).adj, cap)) \
+        assert len(_kernels.enumerate_hom_cells(g.adj, complete(n).adj, cap)) \
             == count
         assert len(build_hom(g, complete(n), budget=cap)) == count
     else:

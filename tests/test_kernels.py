@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homtopo import _kernels
-from homtopo._kernels import pure
 from homtopo.errors import BudgetError
 from homtopo.graphs import bits, complete, cycle, from_edges, path
 from homtopo.homcx import build_hom
@@ -56,11 +55,11 @@ def test_pivot_rows_are_the_lowest_rows_of_the_span(cols):
 
 def test_in_span():
     cols = [0b011, 0b110]
-    assert pure.gf2_in_span(cols, 0b101)
-    assert pure.gf2_in_span(cols, 0)
-    assert not pure.gf2_in_span(cols, 0b001)
-    assert not pure.gf2_in_span([], 0b1)
-    assert pure.gf2_in_span([], 0)
+    assert _kernels.gf2_in_span(cols, 0b101)
+    assert _kernels.gf2_in_span(cols, 0)
+    assert not _kernels.gf2_in_span(cols, 0b001)
+    assert not _kernels.gf2_in_span([], 0b1)
+    assert _kernels.gf2_in_span([], 0)
 
 
 @settings(deadline=None, derandomize=True)
@@ -102,7 +101,7 @@ def test_keys_wider_than_64_bits():
     want = sorted(sum(1 << (x + c) % 2 << (32 - x) * 2 for x in range(33))
                   for c in (0, 1))
     assert want[1].bit_length() == 66
-    assert pure.enumerate_hom_cells(g.adj, h.adj, 10**6) == want
+    assert _kernels.enumerate_hom_cells(g.adj, h.adj, 10**6) == want
 
 
 # A looped leaf (vertex 2) that the degree order visits last, so its cells
@@ -136,10 +135,10 @@ LOOPED_PENULTIMATE = from_edges(2, [(0, 0), (0, 1)])
 def test_enumerator_matches_oracle_and_budget(g, h):
     want = sorted(sum(m << (g.n - 1 - x) * h.n for x, m in enumerate(cell))
                   for cell in brute_cells(g, h))
-    assert pure.enumerate_hom_cells(g.adj, h.adj, len(want)) == want
+    assert _kernels.enumerate_hom_cells(g.adj, h.adj, len(want)) == want
     for b in range(len(want)):
         with pytest.raises(BudgetError) as e:
-            pure.enumerate_hom_cells(g.adj, h.adj, b)
+            _kernels.enumerate_hom_cells(g.adj, h.adj, b)
         assert e.value.found == b + 1
 
 
@@ -157,12 +156,12 @@ def test_enumerator_matches_oracle_and_budget(g, h):
 @example(from_edges(2, []), HALF_LOOPED)
 def test_zero_cells_are_the_cells_with_one_bit_per_field(g, h):
     # a cell has one bit in each of its g.n fields iff its popcount is g.n
-    cells = pure.enumerate_hom_cells(g.adj, h.adj, 10**6)
+    cells = _kernels.enumerate_hom_cells(g.adj, h.adj, 10**6)
     want = [k for k in cells if k.bit_count() == g.n]
-    assert pure.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
+    assert _kernels.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
     for b in range(len(want)):
         with pytest.raises(BudgetError) as e:
-            pure.enumerate_zero_cells(g.adj, h.adj, b)
+            _kernels.enumerate_zero_cells(g.adj, h.adj, b)
         assert e.value.found == b + 1
 
 
@@ -203,15 +202,15 @@ def wide_counts(g, h):
        wide_targets())
 def test_targets_wider_than_one_table(g, h):
     cells, zero_cells = wide_counts(g, h)
-    for walk, count in ((pure.enumerate_hom_cells, cells),
-                        (pure.enumerate_zero_cells, zero_cells)):
+    for walk, count in ((_kernels.enumerate_hom_cells, cells),
+                        (_kernels.enumerate_zero_cells, zero_cells)):
         keys = walk(g.adj, h.adj, count)
         assert len(keys) == len(set(keys)) == count
         assert keys == sorted(keys)
         for k in keys:
             fields = [k >> (g.n - 1 - x) * h.n & (1 << h.n) - 1
                       for x in range(g.n)]
-            if walk is pure.enumerate_zero_cells:
+            if walk is _kernels.enumerate_zero_cells:
                 assert all(m.bit_count() == 1 for m in fields)
             for x in range(g.n):
                 for y in range(g.n):
@@ -247,10 +246,10 @@ def twelve_vertex_targets(draw):
 @example(complete(1, looped=True), complete(12, looped=True))
 def test_zero_cells_into_twelve_vertices_match_a_plain_reference(g, h):
     want = plain_homs(g, h)
-    assert pure.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
+    assert _kernels.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
     if want:
         with pytest.raises(BudgetError) as e:
-            pure.enumerate_zero_cells(g.adj, h.adj, len(want) - 1)
+            _kernels.enumerate_zero_cells(g.adj, h.adj, len(want) - 1)
         assert e.value.found == len(want)
 
 
@@ -260,11 +259,11 @@ def test_zero_cells_build_no_common_neighbour_table():
     g, h = complete(2), complete(12)
     tracemalloc.start()
     try:
-        table = pure._common_neighbours(h.adj)
+        table = _kernels._common_neighbours(h.adj)
         table_peak = tracemalloc.get_traced_memory()[1]
         del table
         tracemalloc.reset_peak()
-        homs = pure.enumerate_zero_cells(g.adj, h.adj, 1000)
+        homs = _kernels.enumerate_zero_cells(g.adj, h.adj, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
