@@ -7,15 +7,18 @@ in the highest field and numeric order on keys equals lexicographic order
 on mask tuples.  The 0-cells, the homomorphisms G -> H, are the keys whose
 every field holds one bit.
 
-The enumeration is one backtracking walk.  Each node needs the common
-H-neighbourhood of a mask, and reads it from a table that the call builds
-once by doubling over H's rows and drops when it returns: one entry per
-mask of up to 12 bits, so at most 4,096 entries, and a target wider than
-12 vertices gets one table per 12-bit chunk of the mask, the lookups
-ANDed.  A walk over 0-cells has single-bit masks only, so it reads H's
-rows from a lookup with one entry per vertex and builds no table.  The
-last two G-vertices are one loop: each candidate of the penultimate vertex
-emits the last vertex's cells as a batch.
+The enumeration is one backtracking walk, a recursion with one level per
+G-vertex before the last two: each candidate narrows a fresh copy of the
+later vertices' allowed masks, so a level that returns leaves nothing to
+restore.  Each node needs the common H-neighbourhood of a mask, and reads
+it from a table that the call builds once by doubling over H's rows and
+drops when it returns: one entry per mask of up to 12 bits, so at most
+4,096 entries, and a target wider than 12 vertices gets one table per
+12-bit chunk of the mask, the lookups ANDed.  A walk over 0-cells has
+single-bit masks only, so it reads H's rows from a lookup with one entry
+per vertex and builds no table.  The last two G-vertices are one loop:
+each candidate of the penultimate vertex emits the last vertex's cells as
+a batch.
 """
 
 from __future__ import annotations
@@ -97,14 +100,17 @@ def _common_neighbours(adj_h):
 def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
     """The search behind both entries; `zero` keeps single bits only.
 
-    Levels 0 .. n_g-3 are the search: sub[d] is level d's candidate, and a
-    0-cell level replaces the subset step's next mask by its top bit.  Each
-    consistent prefix of those levels goes to the final loop, which takes
-    the penultimate vertex's candidates s in turn and emits the last
-    vertex's batch for each; n_g = 1 is that loop's one batch with an
-    empty prefix.  Reached only through the two names above, so that a
-    wrapper on one name (perfbench's tracer wraps enumerate_hom_cells)
-    never sees the other's calls.
+    search(d, pre, allowed) takes level d's candidates s in turn (a 0-cell
+    level takes the single bits of its allowed mask from the top down),
+    narrows a fresh copy of `allowed` at d's later neighbours by cn(s), and
+    recurses only when no mask has emptied, so the recursion holds the
+    search's state and nothing is restored; it is at most n_g - 1 <= 63
+    calls deep, far inside Python's recursion limit.  At the penultimate
+    level it is the final loop instead: each candidate s of the penultimate
+    vertex, then the last vertex's batch; n_g = 1 is that loop's one batch
+    with an empty prefix.  Reached only through the two names above, so
+    that a wrapper on one name (perfbench's tracer wraps
+    enumerate_hom_cells) never sees the other's calls.
     """
     n_g = len(adj_g)
     n_h = len(adj_h)
@@ -143,56 +149,26 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
     sp, p_looped, adj = 0, 0, False
     if pen >= 0:
         sp, p_looped, adj = shift[pen], looped[pen], last in later[pen]
-    saved: list[list[tuple[int, int]]] = [[] for _ in range(n_g)]
-    sub = [0] * n_g
-    key = [0] * n_g
-    pre = 0
-    d = 0
-    sub[0] = allowed[0]
-    while True:
-        if pen > 0:
-            # the search, to its next prefix through position pen - 1
-            while True:
-                s = sub[d]
+
+    def search(d, pre, allowed):
+        if d < pen:
+            lp, sd, ahead = looped[d], shift[d], later[d]
+            top = allowed[d]
+            s = top
+            while s:
                 if zero:
-                    s = sub[d] = 1 << s.bit_length() >> 1
-                if s == 0:
-                    d -= 1
-                    if d < 0:
-                        break
-                    for e, old in saved[d]:
-                        allowed[e] = old
-                    saved[d].clear()
-                    sub[d] = (sub[d] - 1) & allowed[d]
-                    continue
-                if looped[d] and s & ~cn(s):
-                    sub[d] = (s - 1) & allowed[d]
-                    continue
-                c = cn(s)
-                ok = True
-                for e in later[d]:
-                    old = allowed[e]
-                    new = old & c
-                    if new != old:
-                        saved[d].append((e, old))
-                        allowed[e] = new
-                    if new == 0:
-                        ok = False
-                        break
-                if ok:
-                    pre = key[d] | s << shift[d]
-                    if d + 1 == pen:
-                        break
-                    key[d + 1] = pre
-                    d += 1
-                    sub[d] = allowed[d]
-                else:
-                    for e, old in saved[d]:
-                        allowed[e] = old
-                    saved[d].clear()
-                    sub[d] = (s - 1) & allowed[d]
-            if d < 0:
-                break
+                    s = 1 << s.bit_length() >> 1
+                if not (lp and s & ~cn(s)):
+                    c = cn(s)
+                    narrowed = allowed[:]
+                    for e in ahead:
+                        narrowed[e] &= c
+                        if not narrowed[e]:
+                            break
+                    else:
+                        search(d + 1, pre | s << sd, narrowed)
+                s = (s - 1) & top
+            return
         # the final loop: each candidate s of the penultimate vertex, then
         # the last vertex's batch
         top = allowed[pen] if pen >= 0 else 0
@@ -237,13 +213,8 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
             s = (s - 1) & top
             if not s:
                 break
-        if pen <= 0:
-            break
-        # the search goes on from the prefix's last candidate
-        for e, old in saved[d]:
-            allowed[e] = old
-        saved[d].clear()
-        sub[d] = (sub[d] - 1) & allowed[d]
+
+    search(0, 0, allowed)
     out.sort()
     return out
 

@@ -142,6 +142,16 @@ GRAPH_NAME_RE = re.compile(
     r"^(K)(\d+)(o?)$|^(C|L)(\d+)$|^Kneser:(\d+),(\d+)$")
 
 
+def _count(digits: str) -> int:
+    """int() of a run of decimal digits read from outside input; a run too
+    long for int() (Python's limit on digits) raises DomainError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"a number of {len(digits)} digits is too large") \
+            from None
+
+
 def parse_graph_name(name: str) -> Graph:
     """Compact family names: K5, K4o, C7, L3, Q, Kneser:2,5, petersen."""
     if name == "Q":
@@ -152,10 +162,10 @@ def parse_graph_name(name: str) -> Graph:
     if not m:
         raise DomainError(f"cannot parse graph name {name!r}")
     if m.group(1):
-        return complete(int(m.group(2)), looped=bool(m.group(3)))
+        return complete(_count(m.group(2)), looped=bool(m.group(3)))
     if m.group(4):
-        return (cycle if m.group(4) == "C" else path)(int(m.group(5)))
-    return kneser(int(m.group(6)), int(m.group(7)))
+        return (cycle if m.group(4) == "C" else path)(_count(m.group(5)))
+    return kneser(_count(m.group(6)), _count(m.group(7)))
 
 
 # ------------------------------------------------------------- operations
@@ -385,13 +395,13 @@ def from_edge_list(text: str) -> Graph:
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "n" or not header[1].isdecimal():
         raise DomainError("edge list must start with a header line 'n <count>'")
-    n = int(header[1])
+    n = _count(header[1])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise DomainError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_count(parts[0]), _count(parts[1])))
     return from_edges(n, edges)
 
 
@@ -410,4 +420,6 @@ def load_graph(path: str) -> Graph:
         obj = json.loads(text)
     except ValueError:
         return from_edge_list(text)
+    except RecursionError:
+        raise DomainError(f"graph file {path!r} nests too deeply") from None
     return from_json_obj(obj)

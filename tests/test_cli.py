@@ -259,12 +259,18 @@ def run_cli(*argv, **env):
     return out.returncode, out.stderr
 
 
+# a number past int()'s 4,300-digit limit on string conversion
+NINES = "9" * 5000
+
 # files read by the bad-input cases below, as {tmp}/NAME
 BAD_FILES = {
     "utf16.txt": "n 2\n0 1\n".encode("utf-16"),
     "n-not-int.json": b'{"n": "x", "edges": []}',
     "header.txt": b"n x\n0 1\n",
     "triple.json": b'{"n": 3, "edges": [[0, 1, 2]]}',
+    "long-header.txt": f"n {NINES}\n0 1\n".encode(),
+    "long-edge.txt": f"n 2\n0 {NINES}\n".encode(),
+    "deep.json": b"[" * 200_000,
 }
 
 
@@ -280,6 +286,13 @@ BAD_FILES = {
     (("formulas", "gen", "--m", "2", "--upto", "-1"), {}),
     (("reduce", "core", "--graph", "L5", "--policy", "random:--5"), {}),
     (("reduce", "core", "--graph", "L5", "--policy", "random:\u00b2"), {}),
+    (("hom", "--source", f"K{NINES}", "--target", "K2"), {}),
+    (("hom", "--source", f"C{NINES}", "--target", "K2"), {}),
+    (("hom", "--source", f"Kneser:2,{NINES}", "--target", "K2"), {}),
+    (("hom", "--source", f"Kneser:{NINES},3", "--target", "K2"), {}),
+    (("hom", "--source", "{tmp}/long-header.txt", "--target", "K3"), {}),
+    (("hom", "--source", "{tmp}/long-edge.txt", "--target", "K3"), {}),
+    (("hom", "--source", "{tmp}/deep.json", "--target", "K3"), {}),
 ])
 def test_bad_outside_input_exits_2(argv, env, tmp_path):
     for name, data in BAD_FILES.items():

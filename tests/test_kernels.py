@@ -1,17 +1,19 @@
 """The bitmask kernels: cell enumeration against a brute-force oracle,
 budget errors, and GF(2) rank, pivot row and span tests."""
 
-import tracemalloc
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homtopo
 from homtopo import _kernels
 from homtopo.errors import BudgetError
 from homtopo.graphs import bits, complete, cycle, from_edges, path
-from homtopo.homcx import build_hom
 from test_homcx import brute_cells, small_graphs
 
 
@@ -102,6 +104,22 @@ def test_keys_wider_than_64_bits():
                   for c in (0, 1))
     assert want[1].bit_length() == 66
     assert _kernels.enumerate_hom_cells(g.adj, h.adj, 10**6) == want
+
+
+def test_walk_at_the_source_cap():
+    # 64 source vertices, the cap, and the deepest search: path(64) and the
+    # even cycle(64) have the two alternating 2-colourings, as 127- and
+    # 128-bit keys, whichever entry enumerates them; K64 has no 3-colouring
+    want = sorted(sum(1 << (x + c) % 2 << (63 - x) * 2 for x in range(64))
+                  for c in (0, 1))
+    assert [k.bit_length() for k in want] == [127, 128]
+    k2 = complete(2).adj
+    for g in (path(64), cycle(64)):
+        assert _kernels.enumerate_hom_cells(g.adj, k2, 10**6) == want
+        assert _kernels.enumerate_zero_cells(g.adj, k2, 10**6) == want
+    k64, k3 = complete(64).adj, complete(3).adj
+    assert _kernels.enumerate_hom_cells(k64, k3, 10**6) == []
+    assert _kernels.enumerate_zero_cells(k64, k3, 10**6) == []
 
 
 # A looped leaf (vertex 2) that the degree order visits last, so its cells
@@ -253,32 +271,58 @@ def test_zero_cells_into_twelve_vertices_match_a_plain_reference(g, h):
         assert e.value.found == len(want)
 
 
+def traced_in_fresh_interpreter(script: str) -> list[int]:
+    """The ints that `script` prints, run in a fresh interpreter, so that no
+    object its traced code allocates comes off a free list untraced."""
+    src = os.path.dirname(os.path.dirname(homtopo.__file__))
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return [int(word) for word in out.stdout.split()]
+
+
+ZERO_CELL_PEAKS = """
+import tracemalloc
+from homtopo import _kernels
+from homtopo.graphs import complete
+g, h = complete(2), complete(12)
+tracemalloc.start()
+table = _kernels._common_neighbours(h.adj)
+table_peak = tracemalloc.get_traced_memory()[1]
+del table
+tracemalloc.reset_peak()
+homs = _kernels.enumerate_zero_cells(g.adj, h.adj, 1000)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(table_peak, peak, *homs)
+"""
+
+
 def test_zero_cells_build_no_common_neighbour_table():
     # a 0-cell walk looks up single bits, one row per target vertex; the
     # 4,096-entry table that a cell walk into K12 reads takes ~170 KB traced
-    g, h = complete(2), complete(12)
-    tracemalloc.start()
-    try:
-        table = _kernels._common_neighbours(h.adj)
-        table_peak = tracemalloc.get_traced_memory()[1]
-        del table
-        tracemalloc.reset_peak()
-        homs = _kernels.enumerate_zero_cells(g.adj, h.adj, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert homs == plain_homs(g, h) and len(homs) == 132
+    table_peak, peak, *homs = traced_in_fresh_interpreter(ZERO_CELL_PEAKS)
+    assert homs == plain_homs(complete(2), complete(12)) and len(homs) == 132
     assert peak * 10 < table_peak
+
+
+WIDE_TARGET_PEAK = """
+import tracemalloc
+from homtopo.errors import BudgetError
+from homtopo.graphs import complete, cycle
+from homtopo.homcx import build_hom
+tracemalloc.start()
+try:
+    build_hom(complete(1), cycle(20), budget=10)
+except BudgetError as e:
+    print(e.found, tracemalloc.get_traced_memory()[1])
+"""
 
 
 def test_wide_target_builds_no_whole_mask_table():
     # 20 target vertices take a 4,096- and a 256-entry table; one table
     # over every mask would hold 2^20 entries, tens of MB
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError):
-            build_hom(complete(1), cycle(20), budget=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    found, peak = traced_in_fresh_interpreter(WIDE_TARGET_PEAK)
+    assert found == 11
     assert peak < 1_000_000
