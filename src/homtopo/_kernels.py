@@ -4,8 +4,13 @@ Cells of the multihomomorphism complex from G (n_g vertices) to H (n_h
 vertices) are packed into single ints: the mask chosen for G-vertex x
 occupies bit field ``(n_g-1-x)*n_h .. (n_g-x)*n_h - 1``, so vertex 0 sits
 in the highest field and numeric order on keys equals lexicographic order
-on mask tuples.  The 0-cells, the homomorphisms G -> H, are the keys whose
-every field holds one bit.
+on mask tuples.  The 0-cells, the homomorphisms G -> H, are the cells
+whose every field holds one bit, but enumerate_zero_cells packs them as
+digits: vertex x's field is zero_cell_width(n_h) bits wide and holds f(x)
+itself, vertex 0 again highest, so ascending keys are the maps in
+lexicographic order.  An int hashes to itself, and digit keys are dense in
+the low bits that pick a dict slot, where one-hot keys take only a few
+values there.
 
 The enumeration is one backtracking walk, a recursion with one level per
 G-vertex before the last two: each candidate narrows a fresh copy of the
@@ -51,17 +56,25 @@ def enumerate_hom_cells(adj_g, adj_h, budget: int) -> list[int]:
 
 
 def enumerate_zero_cells(adj_g, adj_h, budget: int) -> list[int]:
-    """The 0-cells of Hom(G,H), the homomorphisms G -> H, as ascending keys.
+    """The 0-cells of Hom(G,H), the homomorphisms G -> H, as ascending keys
+    of digits: f(x) in vertex x's zero_cell_width(n_h)-bit field.
 
     The walk of enumerate_hom_cells with one target per vertex: each level
-    takes the single bits of its allowed mask from the top down, a looped
-    vertex is allowed only H's looped vertices, and the last vertex emits
-    one key per bit of its allowed mask.  A single bit's common
-    neighbourhood is one row of H, read from a lookup with one entry per
-    H-vertex, not from a table over every mask.  BudgetError reports
-    found = budget + 1 as soon as more than `budget` maps exist.
+    takes the single bits of its allowed mask from the top down and writes
+    the chosen vertex's number into its field, a looped vertex is allowed
+    only H's looped vertices, and the last vertex emits one key per bit of
+    its allowed mask.  A single bit's common neighbourhood is one row of H,
+    read from a lookup with one entry per H-vertex, not from a table over
+    every mask.  BudgetError reports found = budget + 1 as soon as more
+    than `budget` maps exist.
     """
     return _walk(adj_g, adj_h, budget, True)
+
+
+def zero_cell_width(n_h: int) -> int:
+    """Bits in a vertex's field of a 0-cell key: enough for the digit
+    n_h - 1, and at least one."""
+    return max(1, (n_h - 1).bit_length())
 
 
 CHUNK = 12  # mask bits per common-neighbour table: 4,096 entries at most
@@ -98,7 +111,8 @@ def _common_neighbours(adj_h):
 
 
 def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
-    """The search behind both entries; `zero` keeps single bits only.
+    """The search behind both entries; `zero` keeps single bits only and
+    packs digits.
 
     search(d, pre, allowed) takes level d's candidates s in turn (a 0-cell
     level takes the single bits of its allowed mask from the top down),
@@ -120,7 +134,10 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
 
     # assign high-degree G-vertices first so constraints bite early
     order = sorted(range(n_g), key=lambda v: (-adj_g[v].bit_count(), v))
-    shift = [(n_g - 1 - x) * n_h for x in order]
+    # a cell's field holds a mask over H; a 0-cell's holds the digit f(x)
+    width = zero_cell_width(n_h) if zero else n_h
+    shift = [(n_g - 1 - x) * width for x in order]
+    put = shift  # where a level's `pre | s << sd` puts its candidate
     looped = [adj_g[x] >> x & 1 for x in order]
     # later[d] = positions after d in `order` that are G-adjacent to order[d]
     later = []
@@ -131,6 +148,13 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
     if zero:
         h_looped = sum(1 << y for y in range(n_h) if adj_h[y] >> y & 1)
         allowed = [h_looped if lp else full_h for lp in looped]
+        # a 0-cell level writes its digit into `pre` itself, keep[d]
+        # clearing the field first; the shared `pre | s << sd` then puts
+        # the single bit s above every field, where the final loop masks
+        # it off with `fields`
+        fields = (1 << n_g * width) - 1
+        keep = [~((1 << width) - 1 << t) for t in shift]
+        put = [n_g * width] * n_g
     # a vertex allowed nothing admits no cell; past here every allowed mask
     # is nonempty, so the final loop's empty candidate means n_g == 1 only
     if not all(allowed):
@@ -152,12 +176,14 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
 
     def search(d, pre, allowed):
         if d < pen:
-            lp, sd, ahead = looped[d], shift[d], later[d]
+            lp, sd, ahead = looped[d], put[d], later[d]
             top = allowed[d]
             s = top
             while s:
                 if zero:
-                    s = 1 << s.bit_length() >> 1
+                    y = s.bit_length() - 1
+                    s = 1 << y
+                    pre = pre & keep[d] | y << shift[d]
                 if not (lp and s & ~cn(s)):
                     c = cn(s)
                     narrowed = allowed[:]
@@ -186,11 +212,14 @@ def _walk(adj_g, adj_h, budget: int, zero: bool) -> list[int]:
                             raise BudgetError(
                                 f"homomorphism budget {budget} exceeded",
                                 found=budget + 1)
-                        a <<= sl
+                        # the digit prefix: s >> 1 has f(x) bits for
+                        # s = 1 << f(x), and none for n_g == 1's empty
+                        # prefix s = 0
+                        base = pre & fields | (s >> 1).bit_length() << sp
                         while a:
-                            low = a & -a
-                            out.append(base | low)
-                            a ^= low
+                            y = a.bit_length() - 1
+                            out.append(base | y << sl)
+                            a ^= 1 << y
                     elif l_looped:
                         t = a
                         while t:

@@ -203,10 +203,13 @@ def induced_subgraph(g: Graph, s: int) -> Graph:
 def enumerate_homomorphisms(g: Graph, h: Graph, budget: int) -> list[int]:
     """All graph homomorphisms g -> h, as the 0-cells of Hom(g,h).
 
-    Map f is the key sum(1 << f(x) << (g.n-1-x)*h.n): vertex x's h.n-bit
-    field holds the one bit f(x), vertex 0's field highest, as in
-    HomComplex keys.  So ascending keys are the maps in lexicographic
-    order; the 0-vertex source has the one key 0.  BudgetError reports
+    Map f is the key sum(f(x) << (g.n-1-x)*w), with w =
+    _kernels.zero_cell_width(h.n) = max(1, (h.n-1).bit_length()): vertex
+    x's w-bit field holds the digit f(x), vertex 0's field highest.
+    So ascending keys are the maps in lexicographic order; the 0-vertex
+    source has the one key 0.  HomComplex keys hold the one bit f(x) in an
+    h.n-bit field instead; digits keep the keys small and dense for the
+    dicts that count_hom_components groups them in.  BudgetError reports
     found = budget + 1 as soon as more than `budget` maps exist.
     """
     return enumerate_zero_cells(g.adj, h.adj, budget)

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from itertools import chain, count, islice
 from math import prod
 
-from ._kernels import enumerate_hom_cells
+from ._kernels import enumerate_hom_cells, zero_cell_width
 from .errors import BudgetError, ConsistencyError, DomainError
 from .graphs import (Graph, bits, complete, enumerate_homomorphisms,
                      induced_subgraph)
@@ -293,23 +293,25 @@ def neighborhood_complex(g: Graph) -> HomComplex:
 def count_hom_components(g: Graph, h: Graph, budget: int | None = None) -> int:
     """b_0 of Hom(g,h) without building cells.
 
-    The 0-cells are the homomorphisms, one key per map with the bit f(x)
-    in vertex x's h.n-bit field (graphs.enumerate_homomorphisms); `budget`
-    caps the maps listed, as resolved by cell_budget.  Maps f, f' that
-    differ only on an independent set I of unlooped vertices are 0-cells
-    of one cell (eta = {f(x), f'(x)} on I, f(x) elsewhere: no edge has both
-    ends in I), so they lie in one component.  An edge of the complex joins
-    maps that differ at one vertex x, and when x is looped their two values
-    must be H-adjacent.  So the maps are grouped once per greedy colour
-    class I of g's unlooped vertices, by their key with I's fields cleared;
-    the largest class's groups are the union-find elements, and each other
+    The 0-cells are the homomorphisms, one key per map with the digit f(x)
+    in vertex x's field (graphs.enumerate_homomorphisms); `budget` caps the
+    maps listed, as resolved by cell_budget.  Maps f, f' that differ only
+    on an independent set I of unlooped vertices are 0-cells of one cell
+    (eta = {f(x), f'(x)} on I, f(x) elsewhere: no edge has both ends in
+    I), so they lie in one component.  An edge of the complex joins maps
+    that differ at one vertex x, and when x is looped their two values must
+    be H-adjacent.  So the maps are grouped once per greedy colour class I
+    of g's unlooped vertices, by their key with I's fields cleared; the
+    largest class's groups are the union-find elements, and each other
     class joins every map's group to the group of its class representative
     (the last map of its class group).  A looped vertex adds the pairs of
     groups whose maps differ there by an H-edge.  One class's pairs are
-    held at a time.
+    held at a time.  An int hashes to itself, so the digit keys, dense in
+    their low bits, spread over the dicts' slots where one-hot keys would
+    pile into a few.
     """
     keys = enumerate_homomorphisms(g, h, cell_budget(budget))
-    w = h.n
+    w = zero_cell_width(h.n)
     shifts = [(g.n - 1 - x) * w for x in range(g.n)]
     field = (1 << w) - 1
     classes: list[int] = []
@@ -350,7 +352,7 @@ def count_hom_components(g: Graph, h: Graph, budget: int | None = None) -> int:
                 items = sorted(vals.items())
                 for a, i in items:
                     for b, j in items:
-                        if a < b and h.adj[a.bit_length() - 1] & b:
+                        if a < b and h.adj[a] >> b & 1:
                             yield i, j
 
     pairs = chain(chain.from_iterable(map(class_pairs, clears[1:])),

@@ -245,18 +245,26 @@ def f_vector(c) -> tuple[int, ...]:
 
 def merge_classes(n: int, pairs) -> list[int]:
     """Union-find over range(n): labels[i] names the class of i once every
-    (i, j) in `pairs` is merged; equal labels mean the same class."""
+    (i, j) in `pairs` is merged; equal labels mean the same class.
+
+    Each root is the least element of its class, so parent[x] <= x
+    throughout.  find runs inline, with path halving (`parent[i] = i =
+    parent[p]` points i at its grandparent and steps there), and one
+    ascending pass then leaves every element pointing at its root.
+    """
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in pairs:
-        parent[find(i)] = find(j)
-    return [find(i) for i in range(n)]
+        while (p := parent[i]) != i:
+            parent[i] = i = parent[p]
+        while (p := parent[j]) != j:
+            parent[j] = j = parent[p]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent
 
 
 def connected_components(c) -> int:

@@ -5,16 +5,10 @@ the pairing it removes, the residue sizes that pin its sweep order, a strip
 that takes one pass per triangle, the traced memory of a run, and the
 Euler bookkeeping check."""
 
-import os
-import subprocess
-import sys
-import tracemalloc
-
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-import homtopo
 from homtopo import _kernels, topology
 from homtopo.equivariant import _swap_map, induced_involution, quotient
 from homtopo.errors import BudgetError, ConsistencyError
@@ -23,7 +17,7 @@ from homtopo.homcx import build_hom
 from homtopo.morse import PartialMatching, is_acyclic
 from homtopo.topology import (SimplicialComplex, betti_gf2,
                               connected_components, face_poset, order_complex)
-from test_homcx import small_graphs
+from test_homcx import run_fresh, small_graphs, traced_in_fresh_interpreter
 from test_topology import (EmptyBoundary, OpenEdge, closure, perturbed_chain_data,
                            posets)
 
@@ -466,18 +460,25 @@ def test_strip_against_the_sweep_takes_a_pass_per_triangle():
     assert facets.reads >= n * (n + 1) // 2
 
 
+BETTI_ON_BUILT_PEAK = """
+import tracemalloc
+from homtopo.graphs import complete, cycle
+from homtopo.homcx import build_hom
+from homtopo.topology import betti_gf2
+x = build_hom(cycle(5), complete(5))
+x.chain_data()
+tracemalloc.start()
+betti = betti_gf2(x).betti
+print(tracemalloc.get_traced_memory()[1], *betti)
+"""
+
+
 def test_betti_on_built_face_data_stays_small():
     # the check pass and coreduction keep no per-cell list of their own:
-    # 7.4 MB traced with cofacet lists, about 1.5 MB without
-    x = build_hom(cycle(5), complete(5))
-    x.chain_data()
-    tracemalloc.start()
-    try:
-        betti = betti_gf2(x).betti
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert betti == (1, 0, 1, 1, 0, 1)
+    # 7.4 MB traced in process with cofacet lists, about 1.5 MB without;
+    # 1.98 MB in a fresh interpreter on Python 3.11
+    peak, *betti = traced_in_fresh_interpreter(BETTI_ON_BUILT_PEAK)
+    assert betti == [1, 0, 1, 1, 0, 1]
     assert peak < 3_000_000
 
 
@@ -515,17 +516,8 @@ except ConsistencyError:
 """
 
 
-def run_optimized(script: str) -> str:
-    src = os.path.dirname(os.path.dirname(homtopo.__file__))
-    out = subprocess.run([sys.executable, "-O", "-c", script],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
 def test_euler_check_survives_optimize():
-    assert run_optimized(EULER_UNDER_O) == "caught"
+    assert run_fresh(EULER_UNDER_O, "-O").strip() == "caught"
 
 
 def test_negative_betti_number_is_inconsistent(monkeypatch):
@@ -583,5 +575,5 @@ except ConsistencyError as e:
 
 
 def test_negative_betti_check_survives_optimize():
-    assert run_optimized(NEGATIVE_UNDER_O) == (
+    assert run_fresh(NEGATIVE_UNDER_O, "-O").strip() == (
         "negative Betti number in [1, 0, 1, 1, -1, 0]")

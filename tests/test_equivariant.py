@@ -3,17 +3,13 @@ chromatic lower bounds, and the subdivision quotient, each checked against
 a plain mirror-and-min construction of the quotient from chains of X."""
 
 import itertools
-import os
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import homtopo
 from homtopo import _kernels, equivariant, topology
 from homtopo.corpus import loopless_corpus
 from homtopo.equivariant import (OrbitComplex, _swap_map, coloring_bound,
@@ -25,6 +21,7 @@ from homtopo.graphs import (chromatic_number, complete, cycle, disjoint_union,
                             validate_involution)
 from homtopo.homcx import HomComplex, build_hom
 from homtopo.topology import betti_gf2, f_vector, face_poset
+from test_homcx import traced_in_fresh_interpreter
 
 FLIP = (1, 0)
 
@@ -325,7 +322,7 @@ q = quotient(x, a)
 built = tracemalloc.get_traced_memory()[0]
 betti = betti_gf2(q).betti
 kept = tracemalloc.get_traced_memory()[0]
-print(len(q), *betti, kept / built)
+print(len(q), *betti, kept, built)
 """
 
 
@@ -334,16 +331,10 @@ def test_quotient_keeps_its_face_data_not_its_index():
     # them is read by nothing after, so the quotient lets it go.  On
     # Hom(K2,K5)/swap the memory kept after betti_gf2 is 1.50-1.51 times
     # that of the bare quotient on Python 3.10-3.12, 1.81 times with the
-    # index.  A fresh interpreter, so that no object comes off a free list
-    # untraced
-    src = os.path.dirname(os.path.dirname(homtopo.__file__))
-    out = subprocess.run([sys.executable, "-c", KEPT_AFTER_BETTI],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    *counts, ratio = out.stdout.split()
-    assert counts == ["2100", "1", "1", "1", "1"]
-    assert float(ratio) < 1.6
+    # index
+    *counts, kept, built = traced_in_fresh_interpreter(KEPT_AFTER_BETTI)
+    assert counts == [2100, 1, 1, 1, 1]
+    assert kept / built < 1.6
 
 
 def test_coboundary_squares_to_zero():

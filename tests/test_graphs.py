@@ -3,7 +3,6 @@ the functions they check."""
 
 import itertools
 import json
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +12,13 @@ from homtopo.errors import BudgetError, DomainError
 from homtopo.graphs import (Graph, are_isomorphic, bits, chromatic_number,
                             complement, complete, cycle, disjoint_union,
                             enumerate_homomorphisms, find_isomorphism,
-                            from_edge_list, from_edges, from_json_obj,
+                            from_edge_list, from_edges,
                             induced_subgraph, kneser, load_graph,
                             max_independent_set, parse_graph_name, path,
                             petersen, q_graph, to_json_obj,
                             validate_involution)
 from test_homcx import small_graphs as any_graphs
+from test_homcx import traced_in_fresh_interpreter
 
 
 def brute_homs(g, h):
@@ -82,19 +82,32 @@ def test_graph_validation():
         from_edges(2, [(0, 2)])
 
 
+VERTEX_CAP_PEAK = """
+import json
+import tracemalloc
+from homtopo.errors import DomainError
+from homtopo.graphs import from_json_obj, parse_graph_name
+tracemalloc.start()
+try:
+    if spec.startswith("{"):
+        from_json_obj(json.loads(spec))
+    else:
+        parse_graph_name(spec)
+    refused = 0
+except DomainError:
+    refused = 1
+print(refused, tracemalloc.get_traced_memory()[1])
+"""
+
+
 @pytest.mark.parametrize("spec", ["K20000", "C20000", "L20000", "Kneser:2,700",
                                   '{"n": 5000000, "edges": []}'])
 def test_vertex_cap_checked_before_allocating(spec):
-    tracemalloc.start()
-    try:
-        with pytest.raises(DomainError):
-            if spec.startswith("{"):
-                from_json_obj(json.loads(spec))
-            else:
-                parse_graph_name(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # under 2.1 KB traced in a fresh interpreter on Python 3.11; a row per
+    # vertex of K20000 would take megabytes
+    refused, peak = traced_in_fresh_interpreter(
+        f"spec = {spec!r}" + VERTEX_CAP_PEAK)
+    assert refused == 1
     assert peak < 1 << 20
 
 
@@ -147,15 +160,17 @@ def cycle_complement_oracle(g):
 # ------------------------------------------------------------ enumeration
 
 def as_maps(keys, g, h):
-    """Decode 0-cell keys: vertex x's h.n-bit field, highest first, holds
-    the one bit f(x), and no bit lies above the fields."""
-    field = (1 << h.n) - 1
+    """Decode 0-cell keys: vertex x's field of max(1, (h.n-1).bit_length())
+    bits, highest first, holds the digit f(x) < h.n, and no bit lies above
+    the fields."""
+    w = max(1, (h.n - 1).bit_length())
+    field = (1 << w) - 1
     maps = []
     for k in keys:
-        assert k >> g.n * h.n == 0
-        masks = [k >> (g.n - 1 - x) * h.n & field for x in range(g.n)]
-        assert all(m.bit_count() == 1 for m in masks)
-        maps.append(tuple(m.bit_length() - 1 for m in masks))
+        assert k >> g.n * w == 0
+        digits = [k >> (g.n - 1 - x) * w & field for x in range(g.n)]
+        assert all(y < h.n for y in digits)
+        maps.append(tuple(digits))
     return maps
 
 

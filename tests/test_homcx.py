@@ -2,13 +2,16 @@
 neighborhood complex and the component shortcut."""
 
 import itertools
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import homtopo
 from homtopo import _kernels, homcx
 from homtopo.corpus import loopless_corpus
 from homtopo.errors import BudgetError, ConsistencyError, DomainError
@@ -117,17 +120,41 @@ def test_repeated_key_is_inconsistent():
             betti_gf2(x)
 
 
+def run_fresh(script: str, *flags: str) -> str:
+    """What `script` prints, run in a fresh interpreter with `flags` (such
+    as -O) on this package's sources."""
+    src = os.path.dirname(os.path.dirname(homtopo.__file__))
+    out = subprocess.run([sys.executable, *flags, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def traced_in_fresh_interpreter(script: str) -> list[int]:
+    """The ints that `script` prints, run in a fresh interpreter, so that no
+    object its traced code allocates comes off a free list untraced."""
+    return [int(word) for word in run_fresh(script).split()]
+
+
+BETTI_PEAK = """
+import tracemalloc
+from homtopo.graphs import complete, cycle
+from homtopo.homcx import build_hom
+from homtopo.topology import betti_gf2
+tracemalloc.start()
+betti = betti_gf2(build_hom(cycle(5), complete(5))).betti
+print(tracemalloc.get_traced_memory()[1], *betti)
+"""
+
+
 def test_betti_holds_no_index_of_the_whole_complex():
     # chain_data looks facets up in a dict over the dimension below alone.
-    # Traced from before the build, on Python 3.10-3.12: 13.1-13.3 MB with
-    # a dict over every cell, 10.4-10.8 MB without
-    tracemalloc.start()
-    try:
-        betti = betti_gf2(build_hom(cycle(5), complete(5))).betti
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert betti == (1, 0, 1, 1, 0, 1)
+    # Traced from before the build, in process on Python 3.10-3.12:
+    # 13.1-13.3 MB with a dict over every cell, 10.4-10.8 MB without;
+    # 10.8 MB in a fresh interpreter on Python 3.11
+    peak, *betti = traced_in_fresh_interpreter(BETTI_PEAK)
+    assert betti == [1, 0, 1, 1, 0, 1]
     assert peak < 12_000_000
 
 
@@ -237,6 +264,27 @@ def test_count_hom_components_of_cycles(t):
     # Hom(C_t,K_3) is disconnected, and an odd cycle takes three colour
     # classes, so every class after the first must join groups
     assert count_hom_components(cycle(t), complete(3)) == cycle_components(t)
+
+
+GROUPING_PEAK = """
+import tracemalloc
+from homtopo.corpus import loopless_corpus
+from homtopo.graphs import complete
+from homtopo.homcx import count_hom_components
+w5 = loopless_corpus()["W5"]
+tracemalloc.start()
+components = count_hom_components(w5, complete(8))
+print(components, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_grouping_holds_no_list_per_colour_class():
+    # each colour class groups the maps lazily, a map over the keys.  Traced
+    # in a fresh interpreter on Python 3.11: 5.27 MB, and 7.2 MB when each
+    # class holds its cleared keys as a list
+    components, peak = traced_in_fresh_interpreter(GROUPING_PEAK)
+    assert components == 1
+    assert peak < 6_000_000
 
 
 def test_cell_label():

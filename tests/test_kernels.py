@@ -1,20 +1,17 @@
 """The bitmask kernels: cell enumeration against a brute-force oracle,
 budget errors, and GF(2) rank, pivot row and span tests."""
 
-import os
-import subprocess
-import sys
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import homtopo
 from homtopo import _kernels
 from homtopo.errors import BudgetError
 from homtopo.graphs import bits, complete, cycle, from_edges, path
-from test_homcx import brute_cells, small_graphs
+from test_graphs import as_maps
+from test_homcx import brute_cells, small_graphs, traced_in_fresh_interpreter
 
 
 def test_rank_known_values():
@@ -109,14 +106,18 @@ def test_keys_wider_than_64_bits():
 def test_walk_at_the_source_cap():
     # 64 source vertices, the cap, and the deepest search: path(64) and the
     # even cycle(64) have the two alternating 2-colourings, as 127- and
-    # 128-bit keys, whichever entry enumerates them; K64 has no 3-colouring
+    # 128-bit cell keys, and as 63- and 64-bit 0-cell keys of one-bit
+    # digits; K64 has no 3-colouring
     want = sorted(sum(1 << (x + c) % 2 << (63 - x) * 2 for x in range(64))
                   for c in (0, 1))
     assert [k.bit_length() for k in want] == [127, 128]
+    want_zero = sorted(sum((x + c) % 2 << 63 - x for x in range(64))
+                       for c in (0, 1))
+    assert [k.bit_length() for k in want_zero] == [63, 64]
     k2 = complete(2).adj
     for g in (path(64), cycle(64)):
         assert _kernels.enumerate_hom_cells(g.adj, k2, 10**6) == want
-        assert _kernels.enumerate_zero_cells(g.adj, k2, 10**6) == want
+        assert _kernels.enumerate_zero_cells(g.adj, k2, 10**6) == want_zero
     k64, k3 = complete(64).adj, complete(3).adj
     assert _kernels.enumerate_hom_cells(k64, k3, 10**6) == []
     assert _kernels.enumerate_zero_cells(k64, k3, 10**6) == []
@@ -176,11 +177,19 @@ def test_zero_cells_are_the_cells_with_one_bit_per_field(g, h):
     # a cell has one bit in each of its g.n fields iff its popcount is g.n
     cells = _kernels.enumerate_hom_cells(g.adj, h.adj, 10**6)
     want = [k for k in cells if k.bit_count() == g.n]
-    assert _kernels.enumerate_zero_cells(g.adj, h.adj, len(want)) == want
+    zero_cells = _kernels.enumerate_zero_cells(g.adj, h.adj, len(want))
+    assert as_cell_keys(zero_cells, g, h) == want
     for b in range(len(want)):
         with pytest.raises(BudgetError) as e:
             _kernels.enumerate_zero_cells(g.adj, h.adj, b)
         assert e.value.found == b + 1
+
+
+def as_cell_keys(keys, g, h):
+    """The cell keys of the maps in 0-cell keys, which as_maps decodes and
+    checks: the one bit f(x) in vertex x's h.n-bit field."""
+    return [sum(1 << y << (g.n - 1 - x) * h.n for x, y in enumerate(f))
+            for f in as_maps(keys, g, h)]
 
 
 def plain_cn(adj, mask):
@@ -225,6 +234,8 @@ def test_targets_wider_than_one_table(g, h):
         keys = walk(g.adj, h.adj, count)
         assert len(keys) == len(set(keys)) == count
         assert keys == sorted(keys)
+        if walk is _kernels.enumerate_zero_cells:
+            keys = as_cell_keys(keys, g, h)
         for k in keys:
             fields = [k >> (g.n - 1 - x) * h.n & (1 << h.n) - 1
                       for x in range(g.n)]
@@ -242,8 +253,10 @@ def test_targets_wider_than_one_table(g, h):
 
 def plain_homs(g, h):
     """Oracle: every map V(G) -> V(H) that sends each G-edge, loops too, to
-    an H-edge, packed one bit per field, ascending."""
-    return sorted(sum(1 << y << (g.n - 1 - x) * h.n for x, y in enumerate(f))
+    an H-edge, packed as the digit f(x) in vertex x's field of
+    max(1, (h.n-1).bit_length()) bits, ascending."""
+    w = max(1, (h.n - 1).bit_length())
+    return sorted(sum(y << (g.n - 1 - x) * w for x, y in enumerate(f))
                   for f in product(range(h.n), repeat=g.n)
                   if all(h.adj[f[x]] >> f[z] & 1
                          for x in range(g.n) for z in bits(g.adj[x])))
@@ -269,17 +282,6 @@ def test_zero_cells_into_twelve_vertices_match_a_plain_reference(g, h):
         with pytest.raises(BudgetError) as e:
             _kernels.enumerate_zero_cells(g.adj, h.adj, len(want) - 1)
         assert e.value.found == len(want)
-
-
-def traced_in_fresh_interpreter(script: str) -> list[int]:
-    """The ints that `script` prints, run in a fresh interpreter, so that no
-    object its traced code allocates comes off a free list untraced."""
-    src = os.path.dirname(os.path.dirname(homtopo.__file__))
-    out = subprocess.run([sys.executable, "-c", script],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return [int(word) for word in out.stdout.split()]
 
 
 ZERO_CELL_PEAKS = """

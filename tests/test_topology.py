@@ -5,7 +5,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homtopo import topology
@@ -15,7 +15,52 @@ from homtopo.graphs import bits, complete, cycle, disjoint_union
 from homtopo.homcx import build_hom
 from homtopo.topology import (Poset, SimplicialComplex, betti_gf2,
                               connected_components, f_vector, face_poset,
-                              find_poset_isomorphism, order_complex)
+                              find_poset_isomorphism, merge_classes,
+                              order_complex)
+
+
+def bfs_classes(n, pairs):
+    """Oracle: per element the least element that a breadth-first walk over
+    the pairs, read as undirected edges, reaches from it."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in pairs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    root = [-1] * n
+    for start in range(n):
+        if root[start] < 0:
+            root[start] = start
+            queue = [start]
+            for i in queue:
+                for j in nbrs[i]:
+                    if root[j] < 0:
+                        root[j] = start
+                        queue.append(j)
+    return root
+
+
+@st.composite
+def pair_lists(draw):
+    """n in 0..12 and pairs over range(n), self-pairs included."""
+    n = draw(st.integers(0, 12))
+    if not n:
+        return 0, []
+    ends = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(ends, ends), max_size=30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair_lists())
+@example((0, []))
+@example((4, [(2, 2), (3, 1), (1, 1)]))
+def test_merge_classes_labels_match_a_walk(case):
+    n, pairs = case
+    labels = merge_classes(n, pairs)
+    root = bfs_classes(n, pairs)
+    assert len(labels) == n
+    for i in range(n):
+        for j in range(n):
+            assert (labels[i] == labels[j]) == (root[i] == root[j])
 
 
 def closure(tops):
